@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -216,18 +217,25 @@ void RegisterAll(std::vector<BenchResult>& results) {
   }
   // Both-label impact of one candidate class — the inner loop of every
   // lookahead strategy (per candidate it needs the impact of both answers).
-  // Measures the production path (SimulateLabelBoth over the cached
-  // knowledge partitions); the pre-kernel baseline for the same metric was
-  // two naive SimulateLabel calls.
+  // Measures the production path: the exhaustive (threshold −∞) kernel
+  // over a lookahead cache prepared once, as a decision does; the
+  // pre-kernel baseline for the same metric was two naive SimulateLabel
+  // calls.
   for (size_t tuples : {1000, 10000}) {
     const auto workload = MakeSynthetic(tuples, 6);
     const core::InferenceEngine engine(workload.instance);
     const auto informative = engine.InformativeClasses();
     JIM_CHECK(!informative.empty());
     const size_t target = informative[informative.size() / 2];
+    core::InferenceEngine::LookaheadBoundsCache bounds;
+    engine.PrepareLookaheadBounds(bounds);
     results.push_back(
         RunBench("EngineSimulateLabel", static_cast<int64_t>(tuples), [&] {
-          const auto both = engine.SimulateLabelBoth(target);
+          core::InferenceEngine::LabelImpactPair both;
+          double unused_bound = 0;
+          engine.SimulateLabelBothBounded(
+              target, bounds, nullptr,
+              -std::numeric_limits<double>::infinity(), &both, &unused_bound);
           DoNotOptimize(both.positive.pruned_tuples +
                         both.negative.pruned_tuples);
         }));

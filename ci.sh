@@ -139,7 +139,7 @@ else
   cmake -B build-tsan -S . -DJIM_SANITIZE=thread -DJIM_WERROR=ON \
     -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j --target \
-    exec_thread_pool_test exec_scratch_pool_test exec_batch_runner_test \
+    exec_thread_pool_test exec_batch_runner_test \
     core_parallel_parity_test core_cutoff_parity_test core_engine_cow_test \
     core_encoded_parity_test relational_dictionary_test \
     core_tuple_store_test storage_sharded_store_test query_query_test \
@@ -160,7 +160,7 @@ else
   (cd build-tsan && \
     TSAN_OPTIONS="suppressions=$(pwd)/../tsan.supp ${TSAN_OPTIONS:-}" \
     ctest --output-on-failure -j"$(nproc)" \
-    -R 'ThreadPool|ScratchPool|BatchSessionRunner|ParallelParity|CutoffParity|EngineCow|EncodedParity|ParallelEncode|ParallelIngest|ParallelScan|UniversalTable|Catalog|MetricsTest')
+    -R 'ThreadPool|BatchSessionRunner|ParallelParity|CutoffParity|EngineCow|EncodedParity|ParallelEncode|ParallelIngest|ParallelScan|UniversalTable|Catalog|MetricsTest')
 fi
 
 # --- ASAN stage ----------------------------------------------------------
@@ -194,7 +194,8 @@ else
     -DJIM_WERROR=ON -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
   cmake --build build-ubsan -j --target \
     lattice_partition_test lattice_antichain_test lattice_kernel_parity_test \
-    lattice_enumeration_test core_tuple_store_test core_invariant_audit_test \
+    core_lookahead_kernel_parity_test lattice_enumeration_test \
+    core_tuple_store_test core_invariant_audit_test \
     relational_dictionary_test storage_jimc_format_test \
     storage_byte_reader_test storage_mapped_parity_test \
     storage_sharded_store_test storage_snapshot_test fuzz_jimc_main
@@ -265,6 +266,7 @@ else
     core_invariant_audit_test core_parallel_parity_test \
     core_cutoff_parity_test core_encoded_parity_test \
     core_incremental_parity_test lattice_kernel_parity_test \
+    core_lookahead_kernel_parity_test \
     query_factorized_parity_test storage_mapped_parity_test \
     core_engine_cow_test
   (cd build-audit && JIM_AUDIT_INVARIANTS=1 \

@@ -241,9 +241,8 @@ int CmdInfer(const Flags& flags) {
   auto store = LoadStore(flags);
   if (!store.ok()) return Fail(store.status().ToString());
 
-  // The selection+join extension runs its own loop over Value rows. A
-  // CSV-loaded store already holds its relation; only a mapped instance
-  // needs materializing.
+  // The selection+join extension runs its own loop over Value rows, so the
+  // store is materialized back into a relation.
   if (flags.Has("selection")) {
     if (!flags.Has("goal")) {
       return Fail("--selection currently requires --goal (auto mode)");
@@ -251,13 +250,8 @@ int CmdInfer(const Flags& flags) {
     auto goal = core::SelectionJoinQuery::Parse((*store)->schema(),
                                                 flags.Get("goal"));
     if (!goal.ok()) return Fail(goal.status().ToString());
-    const auto* relation_store =
-        dynamic_cast<const core::RelationTupleStore*>(store->get());
-    const auto instance =
-        relation_store != nullptr
-            ? relation_store->relation()
-            : std::make_shared<const rel::Relation>(
-                  storage::MaterializeStore(**store));
+    const auto instance = std::make_shared<const rel::Relation>(
+        storage::MaterializeStore(**store));
     const auto result = core::RunSelectionSession(instance, *goal);
     std::cout << "questions: " << result.interactions << "\n"
               << "inferred:  "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <unordered_map>
 
 #include "exec/parallel.h"
@@ -596,7 +597,7 @@ util::Status InferenceEngine::SubmitClassLabel(size_t class_id, Label label) {
 InferenceEngine::LabelImpact InferenceEngine::SimulateLabel(
     size_t class_id, Label label) const {
   // The naive reference implementation (full state copy + rescan); the hot
-  // paths use SimulateLabelBoth, and the parity tests pin the two together.
+  // path is SimulateLabelBothBounded, pinned to this by the parity tests.
   JIM_CHECK_LT(class_id, classes_->size());
   JIM_CHECK(session_->class_status[class_id] == ClassStatus::kInformative);
   InferenceState hypothetical = state_;
@@ -622,50 +623,111 @@ InferenceEngine::LabelImpact InferenceEngine::SimulateLabel(
 
 InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
     size_t class_id) const {
-  return SimulateLabelBothWith(class_id, meet_tmp_, scratch_);
-}
-
-InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBothWith(
-    size_t class_id, lat::Partition& meet_tmp,
-    lat::PartitionScratch& scratch) const {
-  JIM_COUNT(obs::kCounterEngineSimulateLabelBoth);
-  JIM_CHECK_LT(class_id, classes_->size());
-  JIM_CHECK(session_->class_status[class_id] == ClassStatus::kInformative);
-  const lat::Partition& k_labeled = (*knowledge_)[class_id];
-
+  LookaheadBoundsCache bounds;
+  PrepareLookaheadBounds(bounds);
   LabelImpactPair impact;
-  impact.positive.pruned_classes = impact.negative.pruned_classes = 1;
-  impact.positive.pruned_tuples = impact.negative.pruned_tuples =
-      (*classes_)[class_id].size();
-  for (size_t c : session_->informative) {
-    if (c == class_id) continue;
-    const lat::Partition& k = (*knowledge_)[c];
-    const size_t members = (*classes_)[c].size();
-    // Negative answer: the forbidden zone grows by exactly k_labeled, so the
-    // class is pruned iff its knowledge falls inside it.
-    if (k.RefinesWith(k_labeled, scratch)) {
-      ++impact.negative.pruned_classes;
-      impact.negative.pruned_tuples += members;
-    }
-    // Positive answer: the hypothetical θ_P is k_labeled, and the class's
-    // hypothetical knowledge is k_labeled ∧ k (meeting cached knowledge is
-    // enough — both already lie below the current θ_P).
-    if (k_labeled.RefinesWith(k, scratch)) {
-      // k_labeled ∧ k == k_labeled: forced positive.
-      ++impact.positive.pruned_classes;
-      impact.positive.pruned_tuples += members;
-    } else {
-      k_labeled.MeetInto(k, meet_tmp, scratch);
-      // Testing against the *current* antichain is exact: restricting it to
-      // the new θ_P never changes domination of partitions below that θ_P.
-      if (state_.negatives().DominatedBy(meet_tmp, scratch)) {
-        ++impact.positive.pruned_classes;
-        impact.positive.pruned_tuples += members;
-      }
-    }
-  }
+  double unused_bound = 0;
+  SimulateLabelBothBounded(class_id, bounds, nullptr,
+                           -std::numeric_limits<double>::infinity(), &impact,
+                           &unused_bound);
   return impact;
 }
+
+namespace {
+
+/// Words per pair bitset over n attributes: one bit per pair i < j.
+size_t PairWords(size_t n) { return (n * (n - 1) / 2 + 63) / 64; }
+
+/// Writes the pair bitset of `p` (bit k ↔ the k-th pair i < j in row-major
+/// upper-triangle order) into `out`, which must hold PairWords(n) words.
+void FillPairBits(const lat::Partition& p, uint64_t* out) {
+  const size_t n = p.num_elements();
+  std::fill(out, out + PairWords(n), uint64_t{0});
+  const std::vector<int>& block = p.labels();
+  size_t bit = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j, ++bit) {
+      if (block[i] == block[j]) out[bit / 64] |= uint64_t{1} << (bit % 64);
+    }
+  }
+}
+
+/// pairs(a) ∩ pairs(b) ⊆ pairs(m), i.e. a ∧ b ≤ m (with a = b: a ≤ m).
+bool MeetBelow(const uint64_t* a, const uint64_t* b, const uint64_t* m,
+               size_t words) {
+  for (size_t w = 0; w < words; ++w) {
+    if ((a[w] & b[w] & ~m[w]) != 0) return false;
+  }
+  return true;
+}
+
+/// The scan of SimulateLabelBothBounded for the candidate at worklist
+/// position `self`; false (with *skip_bound set) when an in-scan abort
+/// fires. kWords > 0 fixes the bitset width at compile time, making the
+/// one-word case straight-line code; counts accumulate without branches,
+/// since the subset outcomes are data-dependent.
+template <size_t kWords>
+bool ScanWorklist(const InferenceEngine::LookaheadBoundsCache& bounds,
+                  size_t self, size_t pos_cap, size_t neg_cap,
+                  const InferenceEngine::AggregateBoundFn* objective,
+                  double threshold, InferenceEngine::LabelImpactPair& result,
+                  double* skip_bound) {
+  const size_t words = kWords != 0 ? kWords : bounds.words;
+  const bool bounded = threshold > -std::numeric_limits<double>::infinity();
+  const uint64_t* labeled = bounds.pair_bits.data() + self * words;
+  const uint64_t* const antichain = bounds.antichain_bits.data();
+  const uint64_t* const antichain_end =
+      antichain + bounds.antichain_bits.size();
+  // Local accumulators: writing through `result` inside the loop would
+  // force a store per class, as it may alias the cache's size_t arrays.
+  // The candidate's own class passes both subset tests, so the scan counts
+  // it like any other; until the scan reaches it, the abort bound adds it
+  // back, keeping every bound identical to pre-seeded counts.
+  size_t pos_classes = 0;
+  size_t neg_classes = 0;
+  size_t pos_tuples = 0;
+  size_t neg_tuples = 0;
+  const size_t num_positions = bounds.class_sizes.size();
+  for (size_t i = 0; i < num_positions;) {
+    if (bounded && (i & 63u) == 63u) {
+      // In-scan abort: counts so far plus the remaining worklist tuple mass
+      // (still capped) bound anything this candidate can reach. The suffix
+      // may re-count the candidate's own class — harmless, bounds only widen.
+      const size_t rem = bounds.suffix_tuples[i] +
+                         (self >= i ? bounds.class_sizes[self] : 0);
+      const double bound =
+          objective->UpperBound(std::min(pos_tuples + rem, pos_cap),
+                                std::min(neg_tuples + rem, neg_cap));
+      if (bound < threshold) {
+        *skip_bound = bound;
+        return false;
+      }
+    }
+    // Branch-free run up to the next abort position.
+    for (const size_t end = std::min(num_positions, (i + 1) | 63u); i < end;
+         ++i) {
+      const uint64_t* other = bounds.pair_bits.data() + i * words;
+      const size_t members = bounds.class_sizes[i];
+      // Negative answer: K_d ≤ K_c.
+      const bool negative = MeetBelow(other, other, labeled, words);
+      // Positive answer: forced positive iff K_c ≤ K_d, else forced negative
+      // iff K_c ∧ K_d lies under some forbidden zone.
+      bool positive = MeetBelow(labeled, labeled, other, words);
+      for (const uint64_t* m = antichain; m != antichain_end; m += words) {
+        positive |= MeetBelow(labeled, other, m, words);
+      }
+      neg_classes += negative;
+      neg_tuples += negative ? members : 0;
+      pos_classes += positive;
+      pos_tuples += positive ? members : 0;
+    }
+  }
+  result.positive = {pos_classes, pos_tuples};
+  result.negative = {neg_classes, neg_tuples};
+  return true;
+}
+
+}  // namespace
 
 void InferenceEngine::PrepareLookaheadBounds(
     LookaheadBoundsCache& cache) const {
@@ -693,73 +755,98 @@ void InferenceEngine::PrepareLookaheadBounds(
     suffix += (*classes_)[informative[i]].size();
     cache.suffix_tuples[i] = suffix;
   }
-  cache.antichain_empty = state_.negatives().members().empty();
+  const std::vector<lat::Partition>& members = state_.negatives().members();
+  cache.antichain_empty = members.empty();
+
+  const size_t words = PairWords(n);
+  cache.words = words;
+  cache.pair_bits.resize(informative.size() * words);
+  cache.class_sizes.resize(informative.size());
+  for (size_t i = 0; i < informative.size(); ++i) {
+    FillPairBits((*knowledge_)[informative[i]],
+                 cache.pair_bits.data() + i * words);
+    cache.class_sizes[i] = (*classes_)[informative[i]].size();
+  }
+  cache.antichain_bits.resize(members.size() * words);
+  for (size_t a = 0; a < members.size(); ++a) {
+    FillPairBits(members[a], cache.antichain_bits.data() + a * words);
+  }
+  // Audit: every bitset re-derived from Partition::Pairs() through the
+  // closed-form pair index.
+  const auto audited = [n, words](const lat::Partition& p,
+                                  const uint64_t* bits) {
+    std::vector<uint64_t> expected(words, 0);
+    for (const auto& [i, j] : p.Pairs()) {
+      const size_t bit = i * (2 * n - i - 1) / 2 + (j - i - 1);
+      expected[bit / 64] |= uint64_t{1} << (bit % 64);
+    }
+    return expected == std::vector<uint64_t>(bits, bits + words);
+  };
+  JIM_AUDIT({
+    for (size_t i = 0; i < informative.size(); ++i) {
+      JIM_CHECK(audited(ClassKnowledge(informative[i]),
+                        cache.pair_bits.data() + i * words))
+          << "stale pair bitset for class " << informative[i];
+    }
+    for (size_t a = 0; a < members.size(); ++a) {
+      JIM_CHECK(audited(members[a], cache.antichain_bits.data() + a * words))
+          << "stale pair bitset for antichain member " << a;
+    }
+  });
 }
 
 bool InferenceEngine::SimulateLabelBothBounded(
-    size_t class_id, lat::Partition& meet_tmp, lat::PartitionScratch& scratch,
-    const LookaheadBoundsCache& bounds, const AggregateBoundFn& objective,
-    double threshold, LabelImpactPair* impact, double* skip_bound) const {
+    size_t class_id, const LookaheadBoundsCache& bounds,
+    const AggregateBoundFn* objective, double threshold,
+    LabelImpactPair* impact, double* skip_bound) const {
   JIM_CHECK_LT(class_id, classes_->size());
   JIM_CHECK(session_->class_status[class_id] == ClassStatus::kInformative);
-  const size_t pos_cap = LookaheadPosCap(bounds, class_id);
-  const size_t neg_cap = LookaheadNegCap(bounds, class_id);
-  {
+  JIM_CHECK_EQ(bounds.class_sizes.size(), session_->informative.size())
+      << "lookahead cache prepared for another worklist";
+  // Threshold −∞ can never be beaten by a bound: skip computing them.
+  const bool bounded = threshold > -std::numeric_limits<double>::infinity();
+  JIM_CHECK(!bounded || objective != nullptr);
+  // Per-candidate caps on the two counts (see LookaheadBoundsCache).
+  const size_t rank = (*knowledge_)[class_id].Rank();
+  const size_t neg_cap = bounds.tuples_rank_le[rank];
+  const size_t pos_cap = bounds.antichain_empty ? bounds.tuples_rank_ge[rank]
+                                                : bounds.total_tuples;
+  if (bounded) {
     // O(1) precheck: can the candidate beat the threshold at all?
-    const double bound = objective.UpperBound(pos_cap, neg_cap);
+    const double bound = objective->UpperBound(pos_cap, neg_cap);
     if (bound < threshold) {
       *skip_bound = bound;
       JIM_COUNT(obs::kCounterEngineCutoffSkips);
       return false;
     }
   }
-  const lat::Partition& k_labeled = (*knowledge_)[class_id];
-  const std::vector<size_t>& informative = session_->informative;
-
+  const size_t self = session_->worklist_pos[class_id];
   LabelImpactPair result;
-  result.positive.pruned_classes = result.negative.pruned_classes = 1;
-  result.positive.pruned_tuples = result.negative.pruned_tuples =
-      (*classes_)[class_id].size();
-  for (size_t i = 0; i < informative.size(); ++i) {
-    if ((i & 63u) == 63u) {
-      // In-scan abort: counts so far plus the remaining worklist tuple mass
-      // (still capped) bound anything this candidate can reach. The suffix
-      // may re-count the candidate's own class — harmless, bounds only widen.
-      const size_t rem = bounds.suffix_tuples[i];
-      const double bound = objective.UpperBound(
-          std::min(result.positive.pruned_tuples + rem, pos_cap),
-          std::min(result.negative.pruned_tuples + rem, neg_cap));
-      if (bound < threshold) {
-        *skip_bound = bound;
-        JIM_COUNT(obs::kCounterEngineCutoffSkips);
-        return false;
-      }
-    }
-    const size_t c = informative[i];
-    if (c == class_id) continue;
-    const lat::Partition& k = (*knowledge_)[c];
-    const size_t members = (*classes_)[c].size();
-    // Identical arithmetic to SimulateLabelBothWith — a fully evaluated
-    // candidate's impact pair is bitwise the same.
-    if (k.RefinesWith(k_labeled, scratch)) {
-      ++result.negative.pruned_classes;
-      result.negative.pruned_tuples += members;
-    }
-    if (k_labeled.RefinesWith(k, scratch)) {
-      ++result.positive.pruned_classes;
-      result.positive.pruned_tuples += members;
-    } else {
-      k_labeled.MeetInto(k, meet_tmp, scratch);
-      if (state_.negatives().DominatedBy(meet_tmp, scratch)) {
-        ++result.positive.pruned_classes;
-        result.positive.pruned_tuples += members;
-      }
-    }
+  const bool evaluated =
+      bounds.words == 1
+          ? ScanWorklist<1>(bounds, self, pos_cap, neg_cap, objective,
+                            threshold, result, skip_bound)
+          : ScanWorklist<0>(bounds, self, pos_cap, neg_cap, objective,
+                            threshold, result, skip_bound);
+  if (!evaluated) {
+    JIM_COUNT(obs::kCounterEngineCutoffSkips);
+    return false;
   }
   // Counted only on full evaluation, so skip fraction =
   // cutoff_skips / (cutoff_skips + simulate_label_both) stays exact.
   JIM_COUNT(obs::kCounterEngineSimulateLabelBoth);
   *impact = result;
+  return true;
+}
+
+bool InferenceEngine::InstanceEquivalent(const JoinPredicate& p1,
+                                         const JoinPredicate& p2) const {
+  for (const TupleClass& tuple_class : *classes_) {
+    if (p1.partition().Refines(tuple_class.partition) !=
+        p2.partition().Refines(tuple_class.partition)) {
+      return false;
+    }
+  }
   return true;
 }
 

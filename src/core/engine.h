@@ -1,6 +1,7 @@
 #ifndef JIM_CORE_ENGINE_H_
 #define JIM_CORE_ENGINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -187,32 +188,15 @@ class InferenceEngine {
   };
   LabelImpact SimulateLabel(size_t class_id, Label label) const;
 
-  /// Both answers' impacts in one pass over the cached knowledge partitions
-  /// — no InferenceState copy, no antichain restriction, no allocation:
-  ///   negative answer: the new forbidden zone is K_c, so a still-informative
-  ///     class d is pruned iff K_d ≤ K_c;
-  ///   positive answer: the new θ_P is K_c, so d is forced positive iff
-  ///     K_c ≤ K_d, and otherwise forced negative iff K_c ∧ K_d falls in an
-  ///     existing forbidden zone (restricting the antichain cannot change
-  ///     that test for partitions below the new θ_P).
-  /// Exactly equal to {SimulateLabel(c, +), SimulateLabel(c, −)}; this is
-  /// what turns lookahead scoring from O(candidates × classes × alloc-heavy
-  /// meets) into cache-reusing scans. Requires the class to be informative.
+  /// Both answers' impacts (see SimulateLabelBothBounded).
   struct LabelImpactPair {
     LabelImpact positive;
     LabelImpact negative;
   };
+  /// SimulateLabelBothBounded at threshold −∞ over a freshly prepared cache:
+  /// O(worklist · n²) per call, so only tests and benches use it — lookahead
+  /// prepares the cache once per decision and calls the kernel directly.
   LabelImpactPair SimulateLabelBoth(size_t class_id) const;
-
-  /// SimulateLabelBoth with a caller-provided kernel working set instead of
-  /// the engine's internal one. Identical result — but since the engine is
-  /// not touched at all (not even its mutable scratch), any number of
-  /// threads may score candidates of one engine concurrently, each thread
-  /// owning its own (meet_tmp, scratch) pair. This is the entry point of the
-  /// parallel lookahead (exec::ScratchPool hands out the pairs).
-  LabelImpactPair SimulateLabelBothWith(size_t class_id,
-                                        lat::Partition& meet_tmp,
-                                        lat::PartitionScratch& scratch) const;
 
   /// Upper-bound oracle for cutoff-pruned lookahead: given caps on the two
   /// pruning counts (n⁺ ≤ pos_cap, n⁻ ≤ neg_cap), returns a value ≥ the
@@ -225,55 +209,68 @@ class InferenceEngine {
     virtual double UpperBound(size_t pos_cap, size_t neg_cap) const = 0;
   };
 
-  /// Per-decision cached state for the candidate upper bounds, built once by
-  /// PrepareLookaheadBounds and shared (read-only) by every concurrent
-  /// SimulateLabelBothBounded call of that decision:
+  /// Per-decision lookahead state, built once by PrepareLookaheadBounds and
+  /// shared (read-only) by every concurrent SimulateLabelBothBounded call of
+  /// that decision:
   ///   - rank-histogram prefix/suffix tuple sums over the worklist, keyed by
   ///     rank(K_c) — K_d ≤ K_c forces rank(K_d) ≤ rank(K_c), so the prefix
   ///     sum at rank(K_c) caps the negative-answer pruning, and (antichain
   ///     empty) the suffix sum caps the positive-answer pruning;
   ///   - tuple suffix sums by worklist position, for the in-scan abort:
   ///     after position i, at most suffix[i] more tuples can ever be added
-  ///     to either count.
+  ///     to either count;
+  ///   - the lattice as pair sets: bit (i, j) of a partition's pair bitset
+  ///     is set iff attributes i < j share a block (row-major over the upper
+  ///     triangle). K ≤ K′ iff pairs(K) ⊆ pairs(K′), and pairs(K ∧ K′) =
+  ///     pairs(K) ∩ pairs(K′), so every refinement and meet the kernel needs
+  ///     is a few word-wide AND / AND-NOT tests.
   struct LookaheadBoundsCache {
     std::vector<size_t> tuples_rank_le;  ///< by rank r: Σ tuples, rank(K)≤r
     std::vector<size_t> tuples_rank_ge;  ///< by rank r: Σ tuples, rank(K)≥r
     std::vector<size_t> suffix_tuples;   ///< by worklist position, size+1
     size_t total_tuples = 0;             ///< Σ tuples over the worklist
     bool antichain_empty = true;
+    size_t words = 0;  ///< words per pair bitset: ⌈n(n−1)/2 ÷ 64⌉
+    std::vector<uint64_t> pair_bits;       ///< K_c by worklist position
+    std::vector<size_t> class_sizes;       ///< by worklist position
+    std::vector<uint64_t> antichain_bits;  ///< per antichain member
   };
-  /// Fills `cache` for the current worklist. O(worklist). Invalidated by any
-  /// accepted label (like InformativeClasses()).
+  /// Fills `cache` for the current worklist. O(worklist · n²). Invalidated
+  /// by any accepted label (like InformativeClasses()). Under JIM_AUDIT the
+  /// bitsets are re-derived from Partition::Pairs() and compared.
   void PrepareLookaheadBounds(LookaheadBoundsCache& cache) const;
 
-  /// Cheap per-candidate caps from the cache (see LookaheadBoundsCache).
-  size_t LookaheadNegCap(const LookaheadBoundsCache& cache,
-                         size_t class_id) const {
-    return cache.tuples_rank_le[(*knowledge_)[class_id].Rank()];
-  }
-  size_t LookaheadPosCap(const LookaheadBoundsCache& cache,
-                         size_t class_id) const {
-    return cache.antichain_empty
-               ? cache.tuples_rank_ge[(*knowledge_)[class_id].Rank()]
-               : cache.total_tuples;
-  }
-
-  /// Cutoff-pruned SimulateLabelBothWith: evaluates the candidate only if
-  /// its upper bound can still beat `threshold`. Returns true with *impact
-  /// filled when the candidate was fully evaluated (bitwise-identical to
-  /// SimulateLabelBothWith); returns false with *skip_bound set to the bound
-  /// it was skipped under — either the O(1) precheck bound or an in-scan
-  /// abort bound (current counts + remaining-tuples cap) — when the
-  /// candidate provably cannot reach `threshold`. The skip test is strict
-  /// (bound < threshold), so a candidate tying the best score is always
-  /// evaluated and argmax tie-breaking is unaffected. Thread-safe under the
-  /// same contract as SimulateLabelBothWith.
-  bool SimulateLabelBothBounded(size_t class_id, lat::Partition& meet_tmp,
-                                lat::PartitionScratch& scratch,
+  /// The lookahead kernel: both answers' impacts of labeling informative
+  /// class c, in one pass over the worklist bitsets of `bounds`:
+  ///   negative answer: the new forbidden zone is K_c, so a still-informative
+  ///     class d is pruned iff K_d ≤ K_c;
+  ///   positive answer: the new θ_P is K_c, so d is forced positive iff
+  ///     K_c ≤ K_d, and otherwise forced negative iff K_c ∧ K_d lies under
+  ///     an antichain member (restricting the antichain to the new θ_P
+  ///     cannot change that test for partitions below it).
+  /// Exactly equal to {SimulateLabel(c, +), SimulateLabel(c, −)}.
+  ///
+  /// Cutoff pruning: returns true with *impact filled when the candidate was
+  /// fully evaluated, or false with *skip_bound set once its upper bound
+  /// under `objective` — the O(1) precheck, or an in-scan abort (counts so
+  /// far + remaining-tuples cap) — provably cannot reach `threshold`. The
+  /// skip test is strict (bound < threshold), so a candidate tying the best
+  /// score is always evaluated and argmax tie-breaking is unaffected.
+  /// Threshold −∞ is the exhaustive case (`objective` may then be null).
+  /// Reads only the engine and `bounds`, so any number of threads may score
+  /// candidates of one engine concurrently.
+  bool SimulateLabelBothBounded(size_t class_id,
                                 const LookaheadBoundsCache& bounds,
-                                const AggregateBoundFn& objective,
+                                const AggregateBoundFn* objective,
                                 double threshold, LabelImpactPair* impact,
                                 double* skip_bound) const;
+
+  /// True iff p1 and p2 select exactly the same tuples of the instance —
+  /// InstanceEquivalent(store(), p1, p2) decided over the class table
+  /// instead of the tuples: P selects class c iff P ≤ Part(c) (NULLs are
+  /// singletons in Part(c), matching JoinPredicate::SelectsCodes).
+  bool InstanceEquivalent(const JoinPredicate& p1,
+                          const JoinPredicate& p2) const;
 
   /// Progress counters for the demo UI and session traces.
   struct Stats {
@@ -427,11 +424,9 @@ class InferenceEngine {
   /// value member (copied with the engine, not COW) rebuilt after every
   /// accepted label.
   std::vector<uint8_t> pair_cover_;
-  /// Scratch state for the allocation-free kernels; mutable because pure
-  /// queries (SimulateLabelBoth) reuse it. Copying an engine copies only
-  /// warmed capacity, never live data.
-  mutable lat::PartitionScratch scratch_;
-  mutable lat::Partition meet_tmp_;
+  /// Scratch state for the allocation-free propagation kernels. Copying an
+  /// engine copies only warmed capacity, never live data.
+  lat::PartitionScratch scratch_;
   LabeledExamples history_;
   size_t wasted_interactions_ = 0;
 };

@@ -81,8 +81,8 @@ InferenceEngine::LabelImpactPair SpeculativeSession::SimulateBoth(
   JIM_CHECK(IsLive(class_id));
   const lat::Partition& theta = state_.theta_p();
   // K_labeled = θ_P ∧ Part(c). No per-class cache here, so knowledge
-  // partitions are materialized on the fly — same arithmetic as the engine's
-  // SimulateLabelBothWith over its cached worklist, hence bitwise-identical
+  // partitions are materialized on the fly — the same three tests as the
+  // engine's lookahead kernel over its cached worklist, hence identical
   // counts at depth 0.
   theta.MeetInto(engine_.tuple_class(class_id).partition, k_labeled_,
                  scratch_);

@@ -76,8 +76,8 @@ class SpeculativeSession {
 
   /// Both answers' impacts for a live class under the *current* speculative
   /// state, counting pruned live classes/tuples exactly like
-  /// InferenceEngine::SimulateLabelBoth does against its worklist. At depth
-  /// 0 this is bitwise-identical to engine.SimulateLabelBoth(class_id) —
+  /// InferenceEngine::SimulateLabelBothBounded does against its worklist. At
+  /// depth 0 this is identical to engine.SimulateLabelBoth(class_id) —
   /// the parity tests pin the two together; deeper, it is what a lookahead
   /// embedded in a speculative search would score with.
   InferenceEngine::LabelImpactPair SimulateBoth(size_t class_id);

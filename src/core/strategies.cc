@@ -149,43 +149,6 @@ double LookaheadStrategy::Aggregate(size_t n_plus, size_t n_minus) const {
   return 0;
 }
 
-std::vector<double> LookaheadStrategy::Score(
-    const InferenceEngine& engine, const std::vector<size_t>& candidates) {
-  std::vector<double> scores(candidates.size(),
-                             -std::numeric_limits<double>::infinity());
-  // Deterministic candidate cap: score an evenly spaced subsample when the
-  // pool is too large; unsampled candidates keep -inf and are never picked.
-  const size_t n = candidates.size();
-  const size_t cap =
-      max_candidates_ == 0 ? n : std::min(n, max_candidates_);
-  exec::ThreadPool* pool = use_shared_pool_ ? &exec::SharedPool() : pool_;
-  if (pool != nullptr && pool->threads() > 1 && cap > 1) {
-    // Sampled candidate j → slot j*n/cap, strictly increasing in j, so every
-    // chunk writes disjoint score slots and the result vector is identical
-    // to the serial path bit for bit. Each chunk owns one EvalScratch; both
-    // the per-candidate simulation and Aggregate are pure, so scheduling
-    // cannot leak into the scores.
-    scratch_pool_.EnsureSlots(std::min(pool->threads(), cap));
-    pool->ParallelFor(cap, [&](size_t j, size_t chunk) {
-      exec::EvalScratch& slot = scratch_pool_.Slot(chunk);
-      const size_t i = j * n / cap;
-      const auto both = engine.SimulateLabelBothWith(candidates[i],
-                                                     slot.meet_tmp,
-                                                     slot.scratch);
-      scores[i] =
-          Aggregate(both.positive.pruned_tuples, both.negative.pruned_tuples);
-    });
-  } else {
-    for (size_t j = 0; j < cap; ++j) {
-      const size_t i = j * n / cap;
-      const auto both = engine.SimulateLabelBoth(candidates[i]);
-      scores[i] =
-          Aggregate(both.positive.pruned_tuples, both.negative.pruned_tuples);
-    }
-  }
-  return scores;
-}
-
 bool LookaheadStrategy::CutoffUsable() const {
   if (objective_ != Objective::kEntropy) return true;
   // The Shannon branch fires for α ≈ 1 > 0; plain Tsallis needs α > 0 for
@@ -217,91 +180,89 @@ class MonotoneBound final : public InferenceEngine::AggregateBoundFn {
 
 }  // namespace
 
-size_t LookaheadStrategy::PickClass(const InferenceEngine& engine) {
+std::vector<double> LookaheadStrategy::ScoreSampled(
+    const InferenceEngine& engine, const std::vector<size_t>& candidates,
+    const InferenceEngine::AggregateBoundFn* objective) {
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   last_skips_.clear();
   last_evaluated_ = 0;
+  // Deterministic candidate cap: score an evenly spaced subsample when the
+  // pool is too large; unsampled candidates keep -inf and are never picked.
+  const size_t n = candidates.size();
+  const size_t cap = max_candidates_ == 0 ? n : std::min(n, max_candidates_);
+  std::vector<double> scores(n, kNegInf);
+  std::vector<double> skip_bound(n, kNegInf);
+  std::vector<uint8_t> evaluated(n, 0);
+  InferenceEngine::LookaheadBoundsCache bounds;
+  engine.PrepareLookaheadBounds(bounds);
+  // The running best is a relaxed atomic maximum: serially it is a monotone
+  // running maximum, and a chunk reading a stale (smaller) best merely skips
+  // less. Every skipped candidate's true score stays strictly below the
+  // final maximum, so the argmax over `scores` is the exhaustive one — the
+  // scores are bitwise the same wherever they were computed, and every
+  // candidate achieving the maximum is always computed.
+  std::atomic<double> best{kNegInf};
+  // Sampled candidate j → slot j*n/cap, strictly increasing in j, so every
+  // chunk writes disjoint slots; the kernel reads only the engine and the
+  // shared cache, and Aggregate is pure.
+  const auto evaluate = [&](size_t j) {
+    const size_t i = j * n / cap;
+    const double threshold =
+        objective != nullptr ? best.load(std::memory_order_relaxed) : kNegInf;
+    InferenceEngine::LabelImpactPair both;
+    if (!engine.SimulateLabelBothBounded(candidates[i], bounds, objective,
+                                         threshold, &both, &skip_bound[i])) {
+      return;
+    }
+    const double score =
+        Aggregate(both.positive.pruned_tuples, both.negative.pruned_tuples);
+    scores[i] = score;
+    evaluated[i] = 1;
+    double current = best.load(std::memory_order_relaxed);
+    while (current < score &&
+           !best.compare_exchange_weak(current, score,
+                                       std::memory_order_relaxed)) {
+    }
+  };
+  // The first candidate always runs alone, so a fan-out starts every chunk
+  // from a real threshold rather than −∞, as the serial scan does.
+  if (cap > 0) evaluate(0);
+  exec::ThreadPool* pool = use_shared_pool_ ? &exec::SharedPool() : pool_;
+  if (pool != nullptr && pool->threads() > 1 && cap > 2) {
+    pool->ParallelFor(cap - 1, [&](size_t j, size_t) { evaluate(j + 1); });
+  } else {
+    for (size_t j = 1; j < cap; ++j) evaluate(j);
+  }
+  if (objective != nullptr) {
+    for (size_t j = 0; j < cap; ++j) {
+      const size_t i = j * n / cap;
+      if (evaluated[i]) {
+        ++last_evaluated_;
+      } else {
+        last_skips_.push_back(CutoffSkip{candidates[i], skip_bound[i]});
+      }
+    }
+  }
+  return scores;
+}
+
+std::vector<double> LookaheadStrategy::Score(
+    const InferenceEngine& engine, const std::vector<size_t>& candidates) {
+  return ScoreSampled(engine, candidates, nullptr);
+}
+
+size_t LookaheadStrategy::PickClass(const InferenceEngine& engine) {
   if (!cutoff_enabled_ || !CutoffUsable()) {
     return Strategy::PickClass(engine);
   }
   const std::vector<size_t>& candidates = engine.InformativeClasses();
   JIM_CHECK(!candidates.empty()) << "PickClass on a finished engine";
-  const size_t n = candidates.size();
-  const size_t cap = max_candidates_ == 0 ? n : std::min(n, max_candidates_);
-
-  InferenceEngine::LookaheadBoundsCache bounds;
-  engine.PrepareLookaheadBounds(bounds);
   const MonotoneBound objective(*this, objective_ == Objective::kEntropy);
-
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::vector<double> scores(n, kNegInf);
-  std::vector<double> skip_bound(n, kNegInf);
-  std::vector<uint8_t> evaluated(n, 0);
-  exec::ThreadPool* pool = use_shared_pool_ ? &exec::SharedPool() : pool_;
-  if (pool != nullptr && pool->threads() > 1 && cap > 1) {
-    // Same disjoint-slot sampling as Score. The running best is a relaxed
-    // atomic maximum: a chunk reading a stale (smaller) best merely skips
-    // less. Every skipped candidate's true score stays strictly below the
-    // final maximum, so the argmax below is the exhaustive one — the scores
-    // it compares are bitwise Score()'s wherever they were computed, and
-    // every candidate achieving the maximum is always computed.
-    scratch_pool_.EnsureSlots(std::min(pool->threads(), cap));
-    std::atomic<double> best{kNegInf};
-    pool->ParallelFor(cap, [&](size_t j, size_t chunk) {
-      exec::EvalScratch& slot = scratch_pool_.Slot(chunk);
-      const size_t i = j * n / cap;
-      const double threshold = best.load(std::memory_order_relaxed);
-      InferenceEngine::LabelImpactPair both;
-      double bound = kNegInf;
-      if (engine.SimulateLabelBothBounded(candidates[i], slot.meet_tmp,
-                                          slot.scratch, bounds, objective,
-                                          threshold, &both, &bound)) {
-        const double score = Aggregate(both.positive.pruned_tuples,
-                                       both.negative.pruned_tuples);
-        scores[i] = score;
-        evaluated[i] = 1;
-        double current = best.load(std::memory_order_relaxed);
-        while (current < score &&
-               !best.compare_exchange_weak(current, score,
-                                           std::memory_order_relaxed)) {
-        }
-      } else {
-        skip_bound[i] = bound;
-      }
-    });
-  } else {
-    // Serial: the best is a monotone running maximum, so later candidates
-    // face the tightest threshold seen so far.
-    scratch_pool_.EnsureSlots(1);
-    exec::EvalScratch& slot = scratch_pool_.Slot(0);
-    double best = kNegInf;
-    for (size_t j = 0; j < cap; ++j) {
-      const size_t i = j * n / cap;
-      InferenceEngine::LabelImpactPair both;
-      double bound = kNegInf;
-      if (engine.SimulateLabelBothBounded(candidates[i], slot.meet_tmp,
-                                          slot.scratch, bounds, objective,
-                                          best, &both, &bound)) {
-        scores[i] = Aggregate(both.positive.pruned_tuples,
-                              both.negative.pruned_tuples);
-        evaluated[i] = 1;
-        best = std::max(best, scores[i]);
-      } else {
-        skip_bound[i] = bound;
-      }
-    }
-  }
-
+  const std::vector<double> scores =
+      ScoreSampled(engine, candidates, &objective);
   size_t best_i = 0;
-  for (size_t i = 1; i < n; ++i) {
+  for (size_t i = 1; i < scores.size(); ++i) {
     if (scores[i] > scores[best_i]) best_i = i;
-  }
-  for (size_t j = 0; j < cap; ++j) {
-    const size_t i = j * n / cap;
-    if (evaluated[i]) {
-      ++last_evaluated_;
-    } else {
-      last_skips_.push_back(CutoffSkip{candidates[i], skip_bound[i]});
-    }
   }
   return candidates[best_i];
 }

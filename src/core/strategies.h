@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "exec/scratch_pool.h"
 #include "exec/thread_pool.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -83,9 +82,11 @@ class LocalStrategy : public Strategy {
 /// of candidates scored per step (a deterministic sample keeps huge
 /// instances interactive), 0 = unlimited.
 ///
-/// Scoring is embarrassingly parallel — every candidate's SimulateLabelBoth
-/// is independent once each thread owns an exec::EvalScratch — and it runs
-/// on a thread pool (exec::SharedPool() by default). The parallel path is
+/// Each decision prepares the engine's LookaheadBoundsCache once and runs
+/// InferenceEngine::SimulateLabelBothBounded per candidate: a few word-wide
+/// bit tests per worklist class. Scoring is embarrassingly parallel — the
+/// kernel reads only the engine and the shared cache — and runs on a thread
+/// pool (exec::SharedPool() by default). The parallel path is
 /// bitwise-deterministic at any thread count: each candidate's score lands
 /// in its slot of a pre-sized vector, and PickClass's serial argmax (ties
 /// toward the smallest index) is unchanged.
@@ -101,7 +102,7 @@ class LookaheadStrategy : public Strategy {
 
   /// Cutoff-pruned argmax (see DESIGN below): candidates whose aggregate
   /// upper bound provably cannot beat the best score found so far are
-  /// skipped without (or part-way through) their SimulateLabelBoth scan.
+  /// skipped without (or part-way through) their kernel scan.
   /// The skip test is strict (bound < best), every Aggregate objective here
   /// is monotone in each pruning count, and computed scores are bitwise
   /// those of Score — so the returned class is always identical to
@@ -148,6 +149,13 @@ class LookaheadStrategy : public Strategy {
 
  private:
   double Aggregate(size_t n_plus, size_t n_minus) const;
+  /// Score and the cutoff argmax share this loop: scores the sampled
+  /// candidates (the rest keep −∞) over one LookaheadBoundsCache. With
+  /// `objective` set, candidates are cutoff-pruned against the best score so
+  /// far and the skips recorded in last_skips(); null scores exhaustively.
+  std::vector<double> ScoreSampled(
+      const InferenceEngine& engine, const std::vector<size_t>& candidates,
+      const InferenceEngine::AggregateBoundFn* objective);
   /// True when Aggregate is monotone nondecreasing in each count, which is
   /// what makes Aggregate(caps) a sound upper bound: min and mean trivially;
   /// total · H_α at fixed total is maximized... (∂/∂n⁺ of the Shannon form is
@@ -164,8 +172,6 @@ class LookaheadStrategy : public Strategy {
   bool cutoff_enabled_ = true;
   std::vector<CutoffSkip> last_skips_;
   size_t last_evaluated_ = 0;
-  /// One EvalScratch per ParallelFor chunk, reused across Score calls.
-  exec::ScratchPool scratch_pool_;
 };
 
 /// Exact minimax strategy: explores the full game tree of (question, answer)

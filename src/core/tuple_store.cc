@@ -33,16 +33,17 @@ RelationTupleStore::RelationTupleStore(
                              : nullptr) {}
 
 RelationTupleStore::RelationTupleStore(
-    std::shared_ptr<const rel::Relation> relation, exec::ThreadPool* pool)
-    : relation_(std::move(relation)) {
-  JIM_CHECK(relation_ != nullptr);
-  stride_ = relation_->num_attributes();
-  const size_t rows = relation_->num_rows();
+    std::shared_ptr<const rel::Relation> relation, exec::ThreadPool* pool) {
+  JIM_CHECK(relation != nullptr);
+  name_ = relation->name();
+  schema_ = relation->schema();
+  num_tuples_ = relation->num_rows();
+  stride_ = relation->num_attributes();
   if (pool == nullptr || pool->threads() <= 1 ||
-      rows < rel::kParallelIngestMinRows) {
-    codes_.reserve(rows * stride_);
-    for (size_t t = 0; t < rows; ++t) {
-      const rel::Tuple& row = relation_->row(t);
+      num_tuples_ < rel::kParallelIngestMinRows) {
+    codes_.reserve(num_tuples_ * stride_);
+    for (size_t t = 0; t < num_tuples_; ++t) {
+      const rel::Tuple& row = relation->row(t);
       for (size_t a = 0; a < stride_; ++a) {
         codes_.push_back(row[a].is_null() ? rel::kNullCode
                                           : dictionary_.GetOrAdd(row[a]));
@@ -56,10 +57,10 @@ RelationTupleStore::RelationTupleStore(
   // assignment depends only on (rows, threads)), so the shared dictionary's
   // code order — cell-major first occurrence, one fresh code per NaN
   // occurrence — is bitwise-identical to the serial path above.
-  codes_.assign(rows * stride_, 0);
+  codes_.assign(num_tuples_ * stride_, 0);
   std::vector<rel::Dictionary> chunk_dictionaries(pool->threads());
-  pool->ParallelFor(rows, [&](size_t t, size_t chunk) {
-    const rel::Tuple& row = relation_->row(t);
+  pool->ParallelFor(num_tuples_, [&](size_t t, size_t chunk) {
+    const rel::Tuple& row = relation->row(t);
     uint32_t* cell = codes_.data() + t * stride_;
     for (size_t a = 0; a < stride_; ++a) {
       cell[a] = row[a].is_null()
@@ -69,7 +70,7 @@ RelationTupleStore::RelationTupleStore(
   });
   const std::vector<std::vector<uint32_t>> remaps =
       rel::MergeChunkDictionaries(chunk_dictionaries, dictionary_);
-  pool->ParallelFor(rows, [&](size_t t, size_t chunk) {
+  pool->ParallelFor(num_tuples_, [&](size_t t, size_t chunk) {
     uint32_t* cell = codes_.data() + t * stride_;
     for (size_t a = 0; a < stride_; ++a) {
       if (cell[a] != rel::kNullCode) cell[a] = remaps[chunk][cell[a]];

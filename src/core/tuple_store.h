@@ -71,7 +71,8 @@ class TupleStore {
 /// TupleStore over a materialized denormalized relation: the degenerate
 /// single-source case (synthetic workloads, CSV loads, Figure 1). All
 /// columns are encoded through one shared dictionary at construction, so
-/// cross-attribute code equality holds by construction.
+/// cross-attribute code equality holds by construction. Values decode
+/// through the dictionary: the store does not keep the relation.
 class RelationTupleStore final : public TupleStore {
  public:
   /// Large relations (≥ rel::kParallelIngestMinRows) encode on the
@@ -89,26 +90,26 @@ class RelationTupleStore final : public TupleStore {
   RelationTupleStore(std::shared_ptr<const rel::Relation> relation,
                      exec::ThreadPool* pool);
 
-  const std::string& name() const override { return relation_->name(); }
-  const rel::Schema& schema() const override { return relation_->schema(); }
-  size_t num_tuples() const override { return relation_->num_rows(); }
+  const std::string& name() const override { return name_; }
+  const rel::Schema& schema() const override { return schema_; }
+  size_t num_tuples() const override { return num_tuples_; }
   uint32_t code(size_t t, size_t a) const override {
     return codes_[t * stride_ + a];
   }
   void TupleCodes(size_t t, uint32_t* out) const override;
   rel::Value DecodeValue(size_t t, size_t a) const override {
-    return relation_->row(t)[a];
+    const uint32_t c = code(t, a);
+    return c == rel::kNullCode ? rel::Value::Null() : dictionary_.value(c);
   }
   size_t ApproxBytes() const override;
 
-  const std::shared_ptr<const rel::Relation>& relation() const {
-    return relation_;
-  }
   /// Distinct non-NULL values across all columns (bench/diagnostics).
   size_t num_distinct_values() const { return dictionary_.size(); }
 
  private:
-  std::shared_ptr<const rel::Relation> relation_;
+  std::string name_;
+  rel::Schema schema_;
+  size_t num_tuples_ = 0;
   rel::Dictionary dictionary_;
   /// Row-major N × n code matrix (kNullCode for NULLs).
   std::vector<uint32_t> codes_;

@@ -302,8 +302,8 @@ util::StatusOr<SessionManager::ResultReply> SessionManager::Result(
   if (session->goal.has_value()) {
     reply.has_goal = true;
     reply.identified_goal =
-        reply.done && core::InstanceEquivalent(session->engine.store(),
-                                               predicate, *session->goal);
+        reply.done &&
+        session->engine.InstanceEquivalent(predicate, *session->goal);
   }
   return reply;
 }
