@@ -103,8 +103,9 @@ diff "$smokedir/saved.txt" "$smokedir/loaded.txt"
 #      byte-identical to the plain run (all observability output goes to
 #      stderr or the snapshot file);
 #   3. the emitted snapshot actually contains engine, exec, and storage
-#      metrics for a --load-instance session — instrumentation that
-#      silently stops recording is a failure, not a quiet degrade.
+#      metrics for a --load-instance session, and a daemon session's
+#      engine.cow_detaches — instrumentation that silently stops recording
+#      is a failure, not a quiet degrade.
 if [[ "${JIM_SKIP_OBS:-0}" == "1" ]]; then
   warn_skip "JIM_SKIP_OBS=1" "OBS"
 else
@@ -127,6 +128,21 @@ else
     fi
   done
   grep -qF '"steps"' "$smokedir/observed.err"
+  # A daemon session labels its engine in place: its one copy-on-write
+  # detach must show up in the snapshot, or the work counter went silent.
+  printf '%s\n' '{"verb":"create","strategy":"random","seed":1}' \
+      '{"verb":"suggest","session":"s1"}' \
+      '{"verb":"label","session":"s1","class":0,"answer":true}' \
+      '{"verb":"shutdown"}' | \
+    ./build/jim_cli serve --stdio \
+      --load-instance="$smokedir/flights.jimc" \
+      --metrics-out="$smokedir/serve_metrics.json" \
+      > "$smokedir/serve_observed.txt" 2> "$smokedir/serve_observed.err"
+  if ! grep -qF '"engine.cow_detaches"' "$smokedir/serve_metrics.json"; then
+    echo "ERROR: metrics snapshot is missing engine.cow_detaches —" \
+      "instrumentation went silent" >&2
+    exit 1
+  fi
 fi
 
 # --- TSAN stage ----------------------------------------------------------
@@ -268,7 +284,7 @@ else
     core_incremental_parity_test lattice_kernel_parity_test \
     core_lookahead_kernel_parity_test \
     query_factorized_parity_test storage_mapped_parity_test \
-    core_engine_cow_test
+    core_engine_cow_test core_label_verdict_parity_test
   (cd build-audit && JIM_AUDIT_INVARIANTS=1 \
     ctest --output-on-failure -j"$(nproc)" \
     -R 'Parity|InvariantAudit|EngineCow')

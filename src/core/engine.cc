@@ -168,7 +168,6 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
 
   session_ = std::make_shared<SessionArrays>();
   session_->class_status.assign(classes->size(), ClassStatus::kInformative);
-  session_->explicit_label.assign(num_tuples, 0);
   // Initially θ_P = ⊤, so K_c = ⊤ ∧ Part(c) = Part(c); every class starts on
   // the worklist.
   knowledge_ = std::make_shared<std::vector<lat::Partition>>();
@@ -235,6 +234,7 @@ std::vector<lat::Partition>& InferenceEngine::MutableKnowledge() {
   // being cloned concurrently, which is already outside the copy contract.
   if (knowledge_.use_count() != 1) {
     knowledge_ = std::make_shared<std::vector<lat::Partition>>(*knowledge_);
+    JIM_COUNT(obs::kCounterEngineCowDetaches);
   } else {
     // Pair with the release-decrement of a sibling clone that just detached
     // (copied the vector and dropped the count to 1): without this fence the
@@ -248,27 +248,30 @@ InferenceEngine::SessionArrays& InferenceEngine::MutableSession() {
   // Same copy-on-write protocol as MutableKnowledge.
   if (session_.use_count() != 1) {
     session_ = std::make_shared<SessionArrays>(*session_);
+    JIM_COUNT(obs::kCounterEngineCowDetaches);
   } else {
     std::atomic_thread_fence(std::memory_order_acquire);
   }
   return *session_;
 }
 
-size_t InferenceEngine::Propagate() {
+InferenceEngine::LabelImpact InferenceEngine::Propagate() {
   const lat::Partition& theta = state_.theta_p();
   std::vector<size_t>& informative = session_->informative;
   size_t out = 0;
-  size_t pruned = 0;
+  LabelImpact pruned;
   for (size_t c : informative) {
     const lat::Partition& k = (*knowledge_)[c];
     if (k == theta) {
       session_->class_status[c] = ClassStatus::kForcedPositive;
       session_->worklist_pos[c] = kNoPos;
-      ++pruned;
+      ++pruned.pruned_classes;
+      pruned.pruned_tuples += (*classes_)[c].size();
     } else if (state_.negatives().DominatedBy(k, scratch_)) {
       session_->class_status[c] = ClassStatus::kForcedNegative;
       session_->worklist_pos[c] = kNoPos;
-      ++pruned;
+      ++pruned.pruned_classes;
+      pruned.pruned_tuples += (*classes_)[c].size();
     } else {
       session_->worklist_pos[c] = static_cast<uint32_t>(out);
       informative[out++] = c;
@@ -276,12 +279,12 @@ size_t InferenceEngine::Propagate() {
   }
   informative.resize(out);
   JIM_COUNT(obs::kCounterEnginePropagateRuns);
-  JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned);
+  JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned.pruned_classes);
   JIM_OBSERVE(obs::kHistEngineWorklistSize, out);
   return pruned;
 }
 
-size_t InferenceEngine::PropagateAfterPositive() {
+InferenceEngine::LabelImpact InferenceEngine::PropagateAfterPositive() {
   const lat::Partition& theta = state_.theta_p();
   const size_t n = store_->num_attributes();
   // ApplyLabel restricted the antichain to the new θ_P — refresh the pair
@@ -293,7 +296,7 @@ size_t InferenceEngine::PropagateAfterPositive() {
   SessionArrays& session = *session_;
   std::vector<size_t>& informative = session.informative;
   size_t out = 0;
-  size_t pruned = 0;
+  LabelImpact pruned;
   size_t exempt = 0;
   for (size_t c : informative) {
     lat::Partition& k = knowledge[c];
@@ -304,7 +307,8 @@ size_t InferenceEngine::PropagateAfterPositive() {
       session.class_status[c] = ClassStatus::kForcedPositive;
       session.worklist_pos[c] = kNoPos;
       session.watch_pair[c] = kNoWatch;
-      ++pruned;
+      ++pruned.pruned_classes;
+      pruned.pruned_tuples += (*classes_)[c].size();
       continue;
     }
     // Watch exemption: the class's watched pair is a co-block pair of the
@@ -329,7 +333,8 @@ size_t InferenceEngine::PropagateAfterPositive() {
       session.class_status[c] = ClassStatus::kForcedNegative;
       session.worklist_pos[c] = kNoPos;
       session.watch_pair[c] = kNoWatch;
-      ++pruned;
+      ++pruned.pruned_classes;
+      pruned.pruned_tuples += (*classes_)[c].size();
       continue;
     }
     if (!watch_alive) {
@@ -353,12 +358,12 @@ size_t InferenceEngine::PropagateAfterPositive() {
   informative.resize(out);
   JIM_COUNT_N(obs::kCounterEngineWatchExemptions, exempt);
   JIM_COUNT(obs::kCounterEnginePropagateRuns);
-  JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned);
+  JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned.pruned_classes);
   JIM_OBSERVE(obs::kHistEngineWorklistSize, out);
   return pruned;
 }
 
-size_t InferenceEngine::PropagateAfterNegative(
+InferenceEngine::LabelImpact InferenceEngine::PropagateAfterNegative(
     const lat::Partition& forbidden) {
   const size_t n = store_->num_attributes();
   // ApplyLabel already inserted the forbidden zone, so the rebuilt cover is a
@@ -366,7 +371,7 @@ size_t InferenceEngine::PropagateAfterNegative(
   // F and safe to re-watch without re-waking this drain.
   RebuildPairCover();
   SessionArrays& session = *session_;
-  size_t pruned = 0;
+  LabelImpact pruned;
   size_t woken = 0;
   // θ_P is unchanged, so the only new reason to leave the pool is the fresh
   // forbidden zone F: a still-informative class is pruned iff K_c ≤ F. If
@@ -382,7 +387,8 @@ size_t InferenceEngine::PropagateAfterNegative(
     session.class_status[c] = ClassStatus::kForcedNegative;
     session.worklist_pos[c] = kNoPos;
     session.watch_pair[c] = kNoWatch;
-    ++pruned;
+    ++pruned.pruned_classes;
+    pruned.pruned_tuples += (*classes_)[c].size();
   }
   session.bottom_watchers.clear();
   for (size_t i = 0; i < n; ++i) {
@@ -402,7 +408,8 @@ size_t InferenceEngine::PropagateAfterNegative(
           session.class_status[c] = ClassStatus::kForcedNegative;
           session.worklist_pos[c] = kNoPos;
           session.watch_pair[c] = kNoWatch;
-          ++pruned;
+          ++pruned.pruned_classes;
+          pruned.pruned_tuples += (*classes_)[c].size();
           continue;
         }
         // Survivor: re-arm on a pair provably outside F so this drain cannot
@@ -417,7 +424,7 @@ size_t InferenceEngine::PropagateAfterNegative(
       watchers.clear();
     }
   }
-  if (pruned > 0) {
+  if (pruned.pruned_classes > 0) {
     std::vector<size_t>& informative = session.informative;
     size_t out = 0;
     for (size_t c : informative) {
@@ -429,7 +436,7 @@ size_t InferenceEngine::PropagateAfterNegative(
   }
   JIM_COUNT_N(obs::kCounterEngineWatchWakes, woken);
   JIM_COUNT(obs::kCounterEnginePropagateRuns);
-  JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned);
+  JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned.pruned_classes);
   JIM_OBSERVE(obs::kHistEngineWorklistSize, session.informative.size());
   return pruned;
 }
@@ -482,92 +489,116 @@ util::DynamicBitset InferenceEngine::CertainNonResultTuples() const {
   return certain;
 }
 
+util::Status InferenceEngine::CheckLabel(size_t class_id, Label label) const {
+  if (class_id >= classes_->size()) {
+    return util::OutOfRangeError("class id out of range");
+  }
+  // The incremental status stands in for a fresh Classify (CheckInvariants
+  // pins the two together), so the verdict costs O(1).
+  const ClassStatus status = session_->class_status[class_id];
+  switch (status) {
+    case ClassStatus::kInformative:
+      return util::OkStatus();
+    case ClassStatus::kForcedPositive:
+      return InferenceState::CheckLabel(TupleClassification::kForcedPositive,
+                                        label);
+    case ClassStatus::kForcedNegative:
+      return InferenceState::CheckLabel(TupleClassification::kForcedNegative,
+                                        label);
+    case ClassStatus::kLabeledPositive:
+    case ClassStatus::kLabeledNegative:
+      // A repetition is accepted (and wasted); the opposite answer is not.
+      if ((status == ClassStatus::kLabeledPositive) !=
+          (label == Label::kPositive)) {
+        return util::FailedPreconditionError(
+            "tuple was already labeled with the opposite label");
+      }
+      return util::OkStatus();
+  }
+  return util::OkStatus();
+}
+
 util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
-                                        Label label) {
-  // Every mutation below goes through the session arrays — detach once here
-  // (a rejected contradictory label costs an unnecessary copy, which is
-  // fine: rejections are rare and the state must stay unchanged anyway).
+                                        Label label, LabelImpact* impact) {
+  {
+    util::Status verdict = CheckLabel(class_id, label);
+    if (!verdict.ok()) {
+      JIM_COUNT(obs::kCounterEngineLabelsRejected);
+      return verdict;
+    }
+  }
+  // Accepted from here on. Every mutation below goes through the session
+  // arrays — detach once (a no-op unless this engine is a fresh clone).
   SessionArrays& session = MutableSession();
   const ClassStatus before = session.class_status[class_id];
-  // Relabeling an explicitly labeled class is rejected as contradictory or
-  // accepted as a (wasted) repetition.
-  if (before == ClassStatus::kLabeledPositive ||
-      before == ClassStatus::kLabeledNegative) {
-    const bool agrees = (before == ClassStatus::kLabeledPositive) ==
-                        (label == Label::kPositive);
-    if (!agrees) {
-      JIM_COUNT(obs::kCounterEngineLabelsRejected);
-      return util::FailedPreconditionError(
-          "tuple was already labeled with the opposite label");
-    }
-    ++wasted_interactions_;
-    history_.push_back(LabeledExample{tuple_index, label});
-    session.explicit_label[tuple_index] = label == Label::kPositive ? 1 : 2;
-    JIM_COUNT(obs::kCounterEngineLabelsAccepted);
-    JIM_COUNT(obs::kCounterEngineLabelsWasted);
-    return util::OkStatus();
-  }
-
-  const bool was_informative = before == ClassStatus::kInformative;
-  {
-    util::Status applied =
-        state_.ApplyLabel((*classes_)[class_id].partition, label);
-    if (!applied.ok()) {
-      JIM_COUNT(obs::kCounterEngineLabelsRejected);
-      return applied;
-    }
-  }
   JIM_COUNT(obs::kCounterEngineLabelsAccepted);
-  // One JIM_COUNT site per name: the macro caches its counter in a
-  // function-local static, so the name must be a per-site constant.
-  if (label == Label::kPositive) {
-    JIM_COUNT(obs::kCounterEngineLabelsPositive);
-  } else {
-    JIM_COUNT(obs::kCounterEngineLabelsNegative);
+  if (before != ClassStatus::kLabeledPositive &&
+      before != ClassStatus::kLabeledNegative) {
+    // CheckLabel accepted, so the state agrees (a repeated label on an
+    // explicitly labeled class has nothing to tell it).
+    JIM_CHECK_OK(state_.ApplyLabel((*classes_)[class_id].partition, label));
+    // One JIM_COUNT site per name: the macro caches its counter in a
+    // function-local static, so the name must be a per-site constant.
+    if (label == Label::kPositive) {
+      JIM_COUNT(obs::kCounterEngineLabelsPositive);
+    } else {
+      JIM_COUNT(obs::kCounterEngineLabelsNegative);
+    }
+    session.class_status[class_id] = label == Label::kPositive
+                                         ? ClassStatus::kLabeledPositive
+                                         : ClassStatus::kLabeledNegative;
   }
-
-  session.class_status[class_id] = label == Label::kPositive
-                                       ? ClassStatus::kLabeledPositive
-                                       : ClassStatus::kLabeledNegative;
   history_.push_back(LabeledExample{tuple_index, label});
-  session.explicit_label[tuple_index] = label == Label::kPositive ? 1 : 2;
-  if (!was_informative) {
-    // Consistent label on a grayed-out tuple: accepted, teaches nothing.
+  const auto slot = std::lower_bound(labeled_tuples_.begin(),
+                                     labeled_tuples_.end(), tuple_index);
+  if (slot == labeled_tuples_.end() || *slot != tuple_index) {
+    labeled_tuples_.insert(slot, tuple_index);
+  }
+  if (before != ClassStatus::kInformative) {
+    // Consistent label on a labeled or grayed-out tuple: accepted, teaches
+    // nothing.
     ++wasted_interactions_;
     JIM_COUNT(obs::kCounterEngineLabelsWasted);
+    if (impact != nullptr) *impact = LabelImpact{};
     return util::OkStatus();
   }
   // The labeled class leaves the pool as kLabeled*; pull it off the worklist
   // before propagation so reclassification cannot overwrite that status.
   RemoveFromWorklist(class_id);
-  if (label == Label::kPositive) {
-    PropagateAfterPositive();
-  } else {
-    // θ_P is unchanged by a negative label, so the labeled class's cached
-    // knowledge is still exactly the antichain member ApplyLabel inserted
-    // (and nothing on this path mutates knowledge_).
-    PropagateAfterNegative((*knowledge_)[class_id]);
+  // θ_P is unchanged by a negative label, so the labeled class's cached
+  // knowledge is still exactly the antichain member ApplyLabel inserted (and
+  // nothing on that path mutates knowledge_).
+  LabelImpact pruned = label == Label::kPositive
+                           ? PropagateAfterPositive()
+                           : PropagateAfterNegative((*knowledge_)[class_id]);
+  if (impact != nullptr) {
+    *impact = LabelImpact{pruned.pruned_classes + 1,
+                          pruned.pruned_tuples + (*classes_)[class_id].size()};
   }
   return util::OkStatus();
 }
 
 TupleStatus InferenceEngine::tuple_status(size_t tuple_index) const {
   JIM_CHECK_LT(tuple_index, store_->num_tuples());
-  if (session_->explicit_label[tuple_index] == 1) {
-    return TupleStatus::kLabeledPositive;
-  }
-  if (session_->explicit_label[tuple_index] == 2) {
-    return TupleStatus::kLabeledNegative;
-  }
+  // Members of a labeled class show as labeled only if the user labeled that
+  // very tuple; their class-mates show as forced.
+  const auto labeled = [&] {
+    return std::binary_search(labeled_tuples_.begin(), labeled_tuples_.end(),
+                              tuple_index);
+  };
   switch (session_->class_status[(*class_of_tuple_)[tuple_index]]) {
     case ClassStatus::kInformative:
       return TupleStatus::kInformative;
     case ClassStatus::kForcedPositive:
-    case ClassStatus::kLabeledPositive:
       return TupleStatus::kForcedPositive;
     case ClassStatus::kForcedNegative:
-    case ClassStatus::kLabeledNegative:
       return TupleStatus::kForcedNegative;
+    case ClassStatus::kLabeledPositive:
+      return labeled() ? TupleStatus::kLabeledPositive
+                       : TupleStatus::kForcedPositive;
+    case ClassStatus::kLabeledNegative:
+      return labeled() ? TupleStatus::kLabeledNegative
+                       : TupleStatus::kForcedNegative;
   }
   return TupleStatus::kInformative;
 }
@@ -577,19 +608,20 @@ util::Status InferenceEngine::SubmitTupleLabel(size_t tuple_index,
   if (tuple_index >= store_->num_tuples()) {
     return util::OutOfRangeError("tuple index out of range");
   }
-  const util::Status status =
-      LabelImpl((*class_of_tuple_)[tuple_index], tuple_index, label);
+  const util::Status status = LabelImpl((*class_of_tuple_)[tuple_index],
+                                        tuple_index, label, nullptr);
   // Audited on rejection too: a refused label must leave the engine intact.
   JIM_AUDIT(CheckInvariants());
   return status;
 }
 
-util::Status InferenceEngine::SubmitClassLabel(size_t class_id, Label label) {
+util::Status InferenceEngine::SubmitClassLabel(size_t class_id, Label label,
+                                               LabelImpact* impact) {
   if (class_id >= classes_->size()) {
     return util::OutOfRangeError("class id out of range");
   }
-  const util::Status status =
-      LabelImpl(class_id, (*classes_)[class_id].tuple_indices.front(), label);
+  const util::Status status = LabelImpl(
+      class_id, (*classes_)[class_id].tuple_indices.front(), label, impact);
   JIM_AUDIT(CheckInvariants());
   return status;
 }
@@ -861,7 +893,6 @@ void InferenceEngine::CheckInvariants() const {
   const size_t num_classes = classes_->size();
   JIM_CHECK_EQ(class_of_tuple_->size(), num_tuples);
   JIM_CHECK_EQ(session_->class_status.size(), num_classes);
-  JIM_CHECK_EQ(session_->explicit_label.size(), num_tuples);
   JIM_CHECK_EQ(knowledge_->size(), num_classes);
 
   // Classes partition the tuple set, in agreement with class_of_tuple_.
@@ -991,22 +1022,27 @@ void InferenceEngine::CheckInvariants() const {
     }
   }
 
-  // Explicit tuple labels agree with their class's status.
-  for (size_t t = 0; t < num_tuples; ++t) {
-    const uint8_t label = session_->explicit_label[t];
-    if (label == 0) continue;
-    const ClassStatus status = session_->class_status[(*class_of_tuple_)[t]];
-    if (label == 1) {
-      JIM_CHECK(status == ClassStatus::kLabeledPositive)
-          << "tuple " << t << " labeled positive in class with status "
-          << ClassStatusToString(status);
-    } else {
-      JIM_CHECK_EQ(label, uint8_t{2});
-      JIM_CHECK(status == ClassStatus::kLabeledNegative)
-          << "tuple " << t << " labeled negative in class with status "
-          << ClassStatusToString(status);
-    }
+  // The labeled-tuple list is the tuple set of the history, and every
+  // history label agrees with its class's explicit status.
+  std::vector<size_t> expected_labeled;
+  for (const LabeledExample& example : history_) {
+    JIM_CHECK_LT(example.tuple_index, num_tuples);
+    expected_labeled.push_back(example.tuple_index);
+    const ClassStatus status =
+        session_->class_status[(*class_of_tuple_)[example.tuple_index]];
+    JIM_CHECK(status == (example.label == Label::kPositive
+                             ? ClassStatus::kLabeledPositive
+                             : ClassStatus::kLabeledNegative))
+        << "tuple " << example.tuple_index << " labeled "
+        << (example.label == Label::kPositive ? "positive" : "negative")
+        << " in class with status " << ClassStatusToString(status);
   }
+  std::sort(expected_labeled.begin(), expected_labeled.end());
+  expected_labeled.erase(
+      std::unique(expected_labeled.begin(), expected_labeled.end()),
+      expected_labeled.end());
+  JIM_CHECK(expected_labeled == labeled_tuples_)
+      << "labeled-tuple list out of sync with the history";
 }
 
 InferenceEngine::Stats InferenceEngine::GetStats() const {

@@ -99,8 +99,10 @@ class InferenceEngine {
 
   /// Copies are cheap clones: the class table and tuple → class map are
   /// shared outright (immutable), and both the per-class knowledge cache and
-  /// the session arrays (statuses, worklist, explicit labels) are
-  /// copy-on-write — a clone defers those costs until its first label. This
+  /// the session arrays (statuses, worklist, watch lists) are copy-on-write
+  /// — a clone defers those costs until its first label, and then pays
+  /// O(classes), never O(tuples): the only per-tuple session state, the
+  /// explicitly labeled tuples, is a sorted list of O(labels) entries. This
   /// is what lets BatchSessionRunner fan independent sessions out over
   /// clones of one built engine. Clones may be labeled from different
   /// threads concurrently (a mutating clone detaches before it writes); only
@@ -129,7 +131,8 @@ class InferenceEngine {
   }
 
   /// Status of an individual tuple (see TupleStatus). This is what the demo
-  /// UI renders: explicit labels as +/−, forced tuples grayed out.
+  /// UI renders: explicit labels as +/−, forced tuples grayed out. O(1), plus
+  /// an O(log labels) lookup for members of labeled classes.
   TupleStatus tuple_status(size_t tuple_index) const;
 
   /// Ids of classes that are still worth asking about, ascending. Returns a
@@ -170,22 +173,36 @@ class InferenceEngine {
   /// After IsDone() this identifies the goal up to instance-equivalence.
   JoinPredicate Result() const;
 
-  /// Labels the tuple (mode-1 entry point: any tuple, informative or not).
-  /// Returns kFailedPrecondition and leaves the engine unchanged when the
-  /// label contradicts earlier labels. A consistent label on an
-  /// uninformative tuple is accepted, counted as a wasted interaction, and
-  /// does not change the state.
-  util::Status SubmitTupleLabel(size_t tuple_index, Label label);
-
-  /// Labels (the representative tuple of) a class.
-  util::Status SubmitClassLabel(size_t class_id, Label label);
-
-  /// What would happen if `class_id` got `label`: number of classes/tuples
-  /// leaving the informative pool (the labeled class included). Pure.
+  /// Number of classes/tuples a label moves out of the informative pool,
+  /// the labeled class included: zero exactly for a wasted label.
   struct LabelImpact {
     size_t pruned_classes = 0;
     size_t pruned_tuples = 0;
   };
+
+  /// The verdict Submit*Label would give `label` on `class_id`, without
+  /// applying it: kOutOfRange for a bad id, kFailedPrecondition for a
+  /// relabel with the opposite answer or a contradiction with θ_P / the
+  /// antichain, else OK. O(1) and side-effect free — it reads the class's
+  /// incremental status, which the audit pins to a fresh classification.
+  /// Labeling paths call it first, so an accepted verdict means the label
+  /// cannot fail.
+  util::Status CheckLabel(size_t class_id, Label label) const;
+
+  /// Labels the tuple (mode-1 entry point: any tuple, informative or not).
+  /// Returns kFailedPrecondition and leaves the engine unchanged when the
+  /// label contradicts earlier labels (see CheckLabel). A consistent label on
+  /// an uninformative tuple is accepted, counted as a wasted interaction, and
+  /// does not change the state.
+  util::Status SubmitTupleLabel(size_t tuple_index, Label label);
+
+  /// Labels (the representative tuple of) a class. When accepted and
+  /// `impact` is non-null, stores what the label pruned — exactly
+  /// SimulateLabel(class_id, label) for an informative class.
+  util::Status SubmitClassLabel(size_t class_id, Label label,
+                                LabelImpact* impact = nullptr);
+
+  /// What would happen if `class_id` got `label` (see LabelImpact). Pure.
   LabelImpact SimulateLabel(size_t class_id, Label label) const;
 
   /// Both answers' impacts (see SimulateLabelBothBounded).
@@ -297,7 +314,8 @@ class InferenceEngine {
   ///   - for every informative class, the cached knowledge K_c equals a
   ///     from-scratch θ_P ∧ Part(c) recompute, and the incremental status of
   ///     every class matches a fresh InferenceState::Classify;
-  ///   - explicit per-tuple labels agree with their class statuses;
+  ///   - the labeled-tuple list is exactly the tuples of history(), and every
+  ///     history label agrees with its class's kLabeled* status;
   ///   - the worklist position index matches the worklist, every informative
   ///     class is validly watched (a co-block pair of its K_c, or the bottom
   ///     list exactly when K_c is all singletons) and registered on the
@@ -320,9 +338,9 @@ class InferenceEngine {
   /// Worklist-position sentinel for classes not on the worklist.
   static constexpr uint32_t kNoPos = 0xFFFFFFFFu;
 
-  /// The flat per-class/per-tuple session arrays, grouped under one
-  /// copy-on-write holder so a clone shares them until its first Submit
-  /// (EngineCopy is then three shared_ptr bumps, not three vector copies).
+  /// The flat per-class session arrays, grouped under one copy-on-write
+  /// holder so a clone shares them until its first accepted label (an engine
+  /// copy is then shared_ptr bumps, not vector copies).
   struct SessionArrays {
     std::vector<ClassStatus> class_status;
     /// Ids of informative classes, ascending — the dense worklist the
@@ -332,9 +350,6 @@ class InferenceEngine {
     /// pool): O(1) locate for RemoveFromWorklist, maintained for free by the
     /// compaction loops.
     std::vector<uint32_t> worklist_pos;
-    /// 0 = not explicitly labeled; 1 = labeled positive; 2 = labeled
-    /// negative (per tuple).
-    std::vector<uint8_t> explicit_label;
     /// Watch structure for negative-label propagation: every informative
     /// class is registered on exactly one certificate that must break before
     /// the class can leave the pool on a negative label — a co-block pair of
@@ -349,25 +364,27 @@ class InferenceEngine {
   };
 
   void BuildClasses(exec::ThreadPool* pool);
-  /// Shared implementation of the two Submit entry points; `tuple_index` is
-  /// the tuple recorded in the history (the one actually shown to the user).
-  util::Status LabelImpl(size_t class_id, size_t tuple_index, Label label);
+  /// Shared implementation of the two Submit entry points: CheckLabel, then
+  /// apply. `tuple_index` is the tuple recorded in the history (the one
+  /// actually shown to the user).
+  util::Status LabelImpl(size_t class_id, size_t tuple_index, Label label,
+                         LabelImpact* impact);
 
   /// Reclassification after a state change, over the dense worklist of
   /// still-informative classes only (uninformativeness is monotone, so
   /// settled classes are never revisited). Each variant compacts the
-  /// worklist in place and returns the number of classes that left the
-  /// pool. Callers must hold the session arrays uniquely (constructor, or
+  /// worklist in place and returns the classes/tuples that left the pool.
+  /// Callers must hold the session arrays uniquely (constructor, or
   /// LabelImpl after MutableSession).
   ///
   /// Full variant (construction): classifies each worklist class from its
   /// cached knowledge.
-  size_t Propagate();
+  LabelImpact Propagate();
   /// After a positive label: θ_P shrank to the labeled class's knowledge, so
   /// each cache entry is refreshed in place (K_c ← K_c ∧ θ_P) and the class
   /// re-tested — forced positive iff K_c == θ_P (one fingerprint compare in
   /// the common case), else forced negative iff K_c is in a forbidden zone.
-  size_t PropagateAfterPositive();
+  LabelImpact PropagateAfterPositive();
   /// After a negative label: θ_P and the cache are untouched; the only new
   /// way out of the pool is the fresh forbidden zone. Instead of rescanning
   /// the worklist, this drains exactly the watch lists of `forbidden`'s
@@ -375,7 +392,7 @@ class InferenceEngine {
   /// split in `forbidden` provably cannot refine it, so only the woken
   /// classes take the full K_c ≤ `forbidden` test; woken survivors
   /// re-register on a non-refinement witness pair.
-  size_t PropagateAfterNegative(const lat::Partition& forbidden);
+  LabelImpact PropagateAfterNegative(const lat::Partition& forbidden);
   /// Drops `class_id` from the worklist (on explicit labeling) via its
   /// position index — no scan.
   void RemoveFromWorklist(size_t class_id);
@@ -399,8 +416,10 @@ class InferenceEngine {
 
   /// Detaches knowledge_ from any sharers (copy-on-first-mutate) and returns
   /// the sole-owner vector. Everything that writes K_c goes through here.
+  /// Each real copy counts one engine.cow_detaches.
   std::vector<lat::Partition>& MutableKnowledge();
-  /// Same for the session arrays; every Submit path detaches once up front.
+  /// Same for the session arrays; every accepted label detaches once up
+  /// front (a no-op on a sole owner).
   SessionArrays& MutableSession();
 
   std::shared_ptr<const TupleStore> store_;
@@ -428,6 +447,11 @@ class InferenceEngine {
   /// engine copies only warmed capacity, never live data.
   lat::PartitionScratch scratch_;
   LabeledExamples history_;
+  /// Tuples the user labeled explicitly, ascending and distinct: the
+  /// tuple-level view of history_ that tuple_status binary-searches. The
+  /// label itself is the class's kLabeled* status (a class accepts only one
+  /// answer), so this holds indices only — O(labels), a plain value member.
+  std::vector<size_t> labeled_tuples_;
   size_t wasted_interactions_ = 0;
 };
 

@@ -47,15 +47,28 @@ TupleClassification InferenceState::Classify(
   return TupleClassification::kInformative;
 }
 
+util::Status InferenceState::CheckLabel(TupleClassification classification,
+                                        Label label) {
+  if (label == Label::kPositive &&
+      classification == TupleClassification::kForcedNegative) {
+    return util::FailedPreconditionError(
+        "positive label contradicts earlier labels: no consistent join "
+        "predicate selects this tuple");
+  }
+  if (label == Label::kNegative &&
+      classification == TupleClassification::kForcedPositive) {
+    return util::FailedPreconditionError(
+        "negative label contradicts earlier labels: every consistent join "
+        "predicate selects this tuple");
+  }
+  return util::OkStatus();
+}
+
 util::Status InferenceState::ApplyLabel(const lat::Partition& tuple_partition,
                                         Label label) {
   const TupleClassification classification = Classify(tuple_partition);
+  RETURN_IF_ERROR(CheckLabel(classification, label));
   if (label == Label::kPositive) {
-    if (classification == TupleClassification::kForcedNegative) {
-      return util::FailedPreconditionError(
-          "positive label contradicts earlier labels: no consistent join "
-          "predicate selects this tuple");
-    }
     has_positive_example_ = true;
     if (classification == TupleClassification::kForcedPositive) {
       return util::OkStatus();  // uninformative: nothing to learn
@@ -67,11 +80,6 @@ util::Status InferenceState::ApplyLabel(const lat::Partition& tuple_partition,
     return util::OkStatus();
   }
   // Negative label.
-  if (classification == TupleClassification::kForcedPositive) {
-    return util::FailedPreconditionError(
-        "negative label contradicts earlier labels: every consistent join "
-        "predicate selects this tuple");
-  }
   if (classification == TupleClassification::kForcedNegative) {
     return util::OkStatus();  // uninformative: nothing to learn
   }

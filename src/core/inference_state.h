@@ -68,11 +68,19 @@ class InferenceState {
   /// The knowledge gained from labeling the tuple: K = θ_P ∧ Part(t).
   lat::Partition Knowledge(const lat::Partition& tuple_partition) const;
 
-  /// Incorporates a label. Errors (kFailedPrecondition) if the label
-  /// contradicts the current knowledge — i.e. labels a forced-positive tuple
-  /// negative or vice versa; the state is unchanged in that case. Labeling
-  /// consistently with a forced classification is accepted as a no-op
-  /// (interaction mode 1 lets users waste effort that way).
+  /// The verdict on labeling a tuple of this classification: kOk, or
+  /// kFailedPrecondition when the label contradicts it (a forced-positive
+  /// tuple labeled negative or vice versa). Pure; the one place the
+  /// contradiction rule lives (ApplyLabel and InferenceEngine::CheckLabel
+  /// both defer to it).
+  static util::Status CheckLabel(TupleClassification classification,
+                                 Label label);
+
+  /// Incorporates a label. Errors (kFailedPrecondition, see CheckLabel) if
+  /// the label contradicts the current knowledge; the state is unchanged in
+  /// that case. Labeling consistently with a forced classification is
+  /// accepted as a no-op (interaction mode 1 lets users waste effort that
+  /// way).
   util::Status ApplyLabel(const lat::Partition& tuple_partition, Label label);
 
   /// Exact number of consistent predicates, by enumerating refinements of

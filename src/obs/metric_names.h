@@ -47,6 +47,11 @@ inline constexpr char kCounterEngineWatchWakes[] = "engine.watch_wakes";
 /// knowledge refresh and is covered by no antichain member.
 inline constexpr char kCounterEngineWatchExemptions[] =
     "engine.watch_exemptions";
+/// Copy-on-write detaches: one per real copy of an engine's session arrays
+/// or knowledge cache (a clone's first accepted label, and its first
+/// positive one). A daemon session pays at most one of each, however many
+/// labels it takes.
+inline constexpr char kCounterEngineCowDetaches[] = "engine.cow_detaches";
 /// Informative-class worklist size observed after each propagation pass.
 inline constexpr char kHistEngineWorklistSize[] = "engine.worklist_size";
 inline constexpr char kHistEngineBuildMicros[] =
@@ -92,10 +97,9 @@ inline constexpr char kCounterStorageFailures[] = "storage.failures";
 inline constexpr char kGaugeServeSessionsLive[] = "serve.sessions.live";
 inline constexpr char kCounterServeSessionsCreated[] =
     "serve.sessions.created";
-/// Sessions removed by an explicit `close` (or manager teardown of a
-/// finished session) — the complement of `live` against created+recovered.
-inline constexpr char kCounterServeSessionsEvicted[] =
-    "serve.sessions.evicted";
+/// Sessions removed by an explicit `close` — the complement of `live`
+/// against created+recovered.
+inline constexpr char kCounterServeSessionsClosed[] = "serve.sessions.closed";
 /// Sessions rebuilt from checkpoints after a daemon restart.
 inline constexpr char kCounterServeSessionsRecovered[] =
     "serve.sessions.recovered";

@@ -122,7 +122,7 @@ std::string Server::HandleLine(const std::string& line,
       json.KeyValue("live", stats.live);
       json.KeyValue("created", static_cast<int64_t>(stats.created));
       json.KeyValue("recovered", static_cast<int64_t>(stats.recovered));
-      json.KeyValue("evicted", static_cast<int64_t>(stats.evicted));
+      json.KeyValue("closed", static_cast<int64_t>(stats.closed));
       json.KeyValue("rejected", static_cast<int64_t>(stats.rejected));
       json.KeyValue("mode", ServingModeName(manager_->options().mode));
     });

@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "storage/mapped_store.h"
+#include "util/check.h"
 #include "util/string_util.h"
 
 namespace jim::serve {
@@ -237,15 +238,16 @@ util::StatusOr<SessionManager::LabelResult> SessionManager::Label(
         session->engine.num_classes()));
   }
 
-  // Label a clone, persist, then commit: a checkpoint-write failure leaves
-  // the in-memory session exactly at its durable transcript (no rollback
-  // path through the engine is ever needed), and a contradiction rejection
-  // discards the clone without touching the session.
-  core::InferenceEngine trial = session->engine;
-  core::InferenceEngine::Stats before = trial.GetStats();
-  RETURN_IF_ERROR(trial.SubmitClassLabel(
-      class_id, positive ? core::Label::kPositive : core::Label::kNegative));
-  core::InferenceEngine::Stats after = trial.GetStats();
+  // Validate, persist, commit — all on the session's own engine, with no
+  // copy of it. CheckLabel gives exactly SubmitClassLabel's verdict, so a
+  // contradiction returns before anything is written; a failed checkpoint
+  // write returns before the engine is touched, so the in-memory session
+  // never runs ahead of its durable transcript and needs no rollback; and
+  // once the step is durable the label cannot fail. With checkpoints off,
+  // persisting is a no-op and the same path runs.
+  const core::Label label =
+      positive ? core::Label::kPositive : core::Label::kNegative;
+  RETURN_IF_ERROR(session->engine.CheckLabel(class_id, label));
 
   CheckpointStep step;
   step.suggested_class = session->has_pending_pick
@@ -261,15 +263,15 @@ util::StatusOr<SessionManager::LabelResult> SessionManager::Label(
     session->checkpoint.steps.pop_back();
     return persisted;
   }
-  session->engine = std::move(trial);
+  core::InferenceEngine::LabelImpact impact;
+  JIM_CHECK_OK(session->engine.SubmitClassLabel(class_id, label, &impact));
   session->has_pending_pick = false;
 
   LabelResult result;
   result.step = session->checkpoint.steps.size();
-  result.pruned_classes =
-      before.informative_classes - after.informative_classes;
-  result.pruned_tuples = before.informative_tuples - after.informative_tuples;
-  result.wasted = after.wasted_interactions > before.wasted_interactions;
+  result.pruned_classes = impact.pruned_classes;
+  result.pruned_tuples = impact.pruned_tuples;
+  result.wasted = impact.pruned_classes == 0;
   result.done = session->engine.IsDone();
   return result;
 }
@@ -319,8 +321,8 @@ util::Status SessionManager::Close(const std::string& session_id) {
     sessions_.erase(it);
     UpdateLiveGauge();
   }
-  evicted_.fetch_add(1, std::memory_order_relaxed);
-  JIM_COUNT(obs::kCounterServeSessionsEvicted);
+  closed_.fetch_add(1, std::memory_order_relaxed);
+  JIM_COUNT(obs::kCounterServeSessionsClosed);
   if (!options_.checkpoint_dir.empty()) {
     std::string path =
         options_.checkpoint_dir + "/" + CheckpointFileName(session_id);
@@ -340,7 +342,7 @@ SessionManager::Stats SessionManager::GetStats() const {
   }
   stats.created = created_.load(std::memory_order_relaxed);
   stats.recovered = recovered_.load(std::memory_order_relaxed);
-  stats.evicted = evicted_.load(std::memory_order_relaxed);
+  stats.closed = closed_.load(std::memory_order_relaxed);
   stats.rejected = rejected_.load(std::memory_order_relaxed);
   return stats;
 }

@@ -65,8 +65,9 @@ struct ServeOptions {
   storage::RetryPolicy retry;
 };
 
-/// Owns the live sessions of a serving daemon: per-session engine clones
-/// over shared read-only stores, strategy state, admission control, and the
+/// Owns the live sessions of a serving daemon: per-session engines (COW
+/// clones of one prototype per instance, labeled in place) over shared
+/// read-only stores, strategy state, admission control, and the
 /// checkpoint/recovery path. Thread-safe: the registry is guarded by one
 /// mutex, each session by its own, so requests for different sessions
 /// proceed in parallel (the whole point of kManySessions mode).
@@ -123,11 +124,18 @@ class SessionManager {
 
   struct LabelResult {
     size_t step = 0;  ///< accepted labels after this one
+    /// Classes/tuples the label moved out of the informative pool, the
+    /// labeled class included.
     size_t pruned_classes = 0;
     size_t pruned_tuples = 0;
     bool wasted = false;  ///< consistent but taught nothing
     bool done = false;
   };
+  /// Labels the session's engine in place: validate (the engine's
+  /// CheckLabel verdict), persist the extended transcript, then commit. A
+  /// rejected label or a failed checkpoint write returns the error with the
+  /// session exactly as it was; with checkpoints on, an acknowledged label is
+  /// durable.
   util::StatusOr<LabelResult> Label(const std::string& session_id,
                                     size_t class_id, bool positive);
 
@@ -158,7 +166,7 @@ class SessionManager {
     size_t live = 0;
     uint64_t created = 0;
     uint64_t recovered = 0;
-    uint64_t evicted = 0;
+    uint64_t closed = 0;  ///< sessions removed by Close
     uint64_t rejected = 0;
   };
   Stats GetStats() const;
@@ -219,7 +227,7 @@ class SessionManager {
   /// manager→session lock order must stay one-way.
   std::atomic<uint64_t> created_{0};
   std::atomic<uint64_t> recovered_{0};
-  std::atomic<uint64_t> evicted_{0};
+  std::atomic<uint64_t> closed_{0};
   std::atomic<uint64_t> rejected_{0};
 };
 

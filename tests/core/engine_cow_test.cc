@@ -113,7 +113,7 @@ TEST(EngineCowTest, CloneSharesSessionArraysUntilFirstLabel) {
   const InferenceEngine prototype(workload.instance);
   InferenceEngine clone = prototype;
 
-  // The flat session arrays (worklist, statuses, explicit labels) are shared
+  // The flat session arrays (worklist, statuses, watch lists) are shared
   // by address, like the class table — EngineCopy is pointer bumps only.
   EXPECT_EQ(&clone.InformativeClasses(), &prototype.InformativeClasses());
 
@@ -144,7 +144,8 @@ TEST(EngineCowTest, WastedLabelOnCloneLeavesPrototypeUntouched) {
   const size_t c = AnyInformative(clone);
   ASSERT_TRUE(clone.SubmitClassLabel(c, Label::kPositive).ok());
   // Re-labeling the same class consistently is a wasted interaction — it
-  // mutates only the explicit-label array, which must already be detached.
+  // records only the history and the labeled-tuple list, both plain value
+  // members of the clone.
   const size_t tuple = clone.tuple_class(c).tuple_indices.front();
   ASSERT_TRUE(clone.SubmitTupleLabel(tuple, Label::kPositive).ok());
   EXPECT_EQ(clone.GetStats().wasted_interactions, 1u);

@@ -2,9 +2,11 @@
 // Figure 1 oracle, admission control (live-session cap, per-session step
 // cap, typed RESOURCE_EXHAUSTED), contradiction rejection, serving-mode
 // transcript parity, suggest idempotence (polling never advances a
-// strategy's RNG), and checkpoint/recovery determinism — a recovered
+// strategy's RNG), checkpoint/recovery determinism — a recovered
 // manager's future picks equal the uninterrupted manager's, including for
-// RNG-bearing strategies.
+// RNG-bearing strategies — and the in-place label path: one copy-on-write
+// detach per session, and a failed checkpoint write that leaves the session
+// exactly at its durable transcript.
 
 #include "serve/session_manager.h"
 
@@ -15,6 +17,9 @@
 
 #include "core/jim.h"
 #include "gtest/gtest.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
+#include "storage/fault_env.h"
 #include "util/bitset.h"
 #include "util/string_util.h"
 #include "workload/travel.h"
@@ -101,7 +106,7 @@ TEST(SessionManagerTest, LifecycleIdentifiesTheFigure1Goal) {
 
   EXPECT_TRUE(manager->Close(created->session_id).ok());
   EXPECT_EQ(manager->GetStats().live, 0u);
-  EXPECT_EQ(manager->GetStats().evicted, 1u);
+  EXPECT_EQ(manager->GetStats().closed, 1u);
 }
 
 TEST(SessionManagerTest, UnknownSessionIsNotFound) {
@@ -373,6 +378,203 @@ TEST(SessionManagerTest, RecoveryFailsLoudOnCorruptCheckpoint) {
   const util::Status status = recovered->RecoverSessions();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+}
+
+/// Every field of a suggest/label/status/result reply, as one line — what
+/// the transcript comparisons diff.
+std::string Render(const SessionManager::SuggestResult& r) {
+  std::string line = util::StrFormat("suggest done=%d step=%zu", r.done,
+                                     r.step);
+  if (!r.done) {
+    line += util::StrFormat(" class=%zu tuple=%zu size=%zu values=", r.class_id,
+                            r.tuple_index, r.class_size);
+    for (const std::string& value : r.values) line += value + ",";
+  }
+  return line;
+}
+std::string Render(const SessionManager::LabelResult& r) {
+  return util::StrFormat("label step=%zu pruned=%zu/%zu wasted=%d done=%d",
+                         r.step, r.pruned_classes, r.pruned_tuples, r.wasted,
+                         r.done);
+}
+std::string Render(const SessionManager::StatusResult& r) {
+  return util::StrFormat(
+      "status steps=%zu done=%d tuples=%zu classes=%zu informative=%zu/%zu "
+      "%s %s",
+      r.steps, r.done, r.num_tuples, r.num_classes, r.informative_classes,
+      r.informative_tuples, r.strategy.c_str(), r.instance.c_str());
+}
+std::string Render(const SessionManager::ResultReply& r) {
+  return util::StrFormat("result done=%d predicate=%s goal=%d identified=%d",
+                         r.done, r.predicate.c_str(), r.has_goal,
+                         r.identified_goal);
+}
+
+/// Drives up to `max_labels` oracle labels (suggest, label, status per
+/// step) and returns the rendered replies; stops at done.
+std::vector<std::string> Transcript(SessionManager& manager,
+                                    const std::string& session_id,
+                                    size_t max_labels) {
+  auto store = workload::Figure1StorePtr();
+  const auto goal =
+      core::JoinPredicate::Parse(store->schema(), workload::kQ2).value();
+  std::vector<std::string> lines;
+  for (size_t labels = 0; labels < max_labels; ++labels) {
+    auto suggested = manager.Suggest(session_id);
+    EXPECT_TRUE(suggested.ok()) << suggested.status();
+    if (!suggested.ok()) break;
+    lines.push_back(Render(*suggested));
+    if (suggested->done) break;
+    auto labeled =
+        manager.Label(session_id, suggested->class_id,
+                      OracleAnswer(*store, goal, suggested->tuple_index));
+    EXPECT_TRUE(labeled.ok()) << labeled.status();
+    if (!labeled.ok()) break;
+    lines.push_back(Render(*labeled));
+    lines.push_back(Render(*manager.Status(session_id)));
+  }
+  return lines;
+}
+
+TEST(SessionManagerTest, SessionDetachesItsEngineArraysOnceNotPerLabel) {
+  // Labels commit into the session's own engine, so a session pays one
+  // copy-on-write detach of the session arrays (its first label) and at
+  // most one of the knowledge cache (its first informative positive label)
+  // — with checkpoints on or off, whatever the strategy.
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+  auto store = workload::Figure1StorePtr();
+  const auto goal =
+      core::JoinPredicate::Parse(store->schema(), workload::kQ2).value();
+  for (const bool checkpoints : {false, true}) {
+    ServeOptions options;
+    if (checkpoints) options.checkpoint_dir = FreshDir("detach");
+    auto manager = MakeManager(options);
+    for (const char* strategy :
+         {"lookahead-entropy", "local-bottom-up", "random"}) {
+      const uint64_t before =
+          registry.CounterValue(obs::kCounterEngineCowDetaches);
+      auto created = manager->Create("", strategy, "", /*seed=*/4, 0);
+      ASSERT_TRUE(created.ok()) << created.status();
+      size_t labels = 0;
+      bool any_positive = false;
+      for (;;) {
+        auto suggested = manager->Suggest(created->session_id);
+        ASSERT_TRUE(suggested.ok());
+        if (suggested->done) break;
+        const bool answer = OracleAnswer(*store, goal, suggested->tuple_index);
+        ASSERT_TRUE(
+            manager->Label(created->session_id, suggested->class_id, answer)
+                .ok());
+        ++labels;
+        any_positive |= answer;
+      }
+      const uint64_t detaches =
+          registry.CounterValue(obs::kCounterEngineCowDetaches) - before;
+      ASSERT_GT(labels, 1u) << strategy;
+      EXPECT_EQ(detaches, 1u + (any_positive ? 1u : 0u))
+          << strategy << ", " << labels << " labels, checkpoints "
+          << checkpoints;
+    }
+  }
+  obs::SetMetricsEnabled(metrics_were_enabled);
+}
+
+TEST(SessionManagerTest, FailedCheckpointWriteLeavesTheSessionUntouched) {
+  // A checkpoint write that fails (an error, not a crash) at any operation
+  // up to and including the rename must return the error and leave the
+  // session — and the checkpoint on disk — exactly at the pre-label state;
+  // re-sending the label then continues the session byte-identically to an
+  // uninterrupted run. Swept over every such operation of one label's
+  // write. "random" carries an RNG, so a lost or repeated pick would show.
+  constexpr char kDir[] = "vroot/label_fault";
+  constexpr size_t kFailingLabel = 1;  // labels acknowledged before it
+  const auto start = [&](storage::FaultInjectionEnv& env) {
+    ServeOptions options;
+    options.env = &env;
+    options.checkpoint_dir = kDir;
+    auto manager = MakeManager(options);
+    auto created = manager->Create("", "random", workload::kQ2, 7, 0);
+    EXPECT_TRUE(created.ok() && created->session_id == "s1");
+    return manager;
+  };
+
+  // The uninterrupted reference, and the failing label's write schedule.
+  auto store = workload::Figure1StorePtr();
+  const auto goal =
+      core::JoinPredicate::Parse(store->schema(), workload::kQ2).value();
+  storage::FaultInjectionEnv reference_env;
+  auto reference = start(reference_env);
+  // The first label's class: explicitly labeled once the fault strikes, so
+  // its opposite answer is a contradiction. (Suggest is idempotent, so
+  // peeking here does not change the transcript.)
+  auto first = reference->Suggest("s1");
+  ASSERT_TRUE(first.ok());
+  ASSERT_FALSE(first->done);
+  const bool first_answer = OracleAnswer(*store, goal, first->tuple_index);
+  std::vector<std::string> expected = Transcript(*reference, "s1",
+                                                 kFailingLabel);
+  auto pending = reference->Suggest("s1");
+  ASSERT_TRUE(pending.ok());
+  ASSERT_FALSE(pending->done);
+  const uint64_t write_begin = reference_env.op_count();
+  const std::vector<std::string> rest = Transcript(*reference, "s1", 1000);
+  ASSERT_GE(rest.size(), 6u) << "session too short to continue past the fault";
+  expected.insert(expected.end(), rest.begin(), rest.end());
+  size_t rename_op = write_begin;
+  while (rename_op < reference_env.op_count() &&
+         !util::StartsWith(reference_env.schedule()[rename_op], "rename ")) {
+    ++rename_op;
+  }
+  ASSERT_LT(rename_op, reference_env.op_count()) << "label wrote no rename";
+  // The sweep covers the tmp file's create, append, fsync and close too.
+  ASSERT_GE(rename_op - write_begin, 4u);
+
+  const std::string path = std::string(kDir) + "/" + CheckpointFileName("s1");
+  for (uint64_t offset = 0; offset <= rename_op - write_begin; ++offset) {
+    SCOPED_TRACE(util::StrFormat("failing operation %llu of the write",
+                                 static_cast<unsigned long long>(offset)));
+    storage::FaultInjectionEnv env;
+    auto manager = start(env);
+    std::vector<std::string> lines = Transcript(*manager, "s1", kFailingLabel);
+    auto suggested = manager->Suggest("s1");
+    ASSERT_TRUE(suggested.ok());
+    const std::string status_before = Render(*manager->Status("s1"));
+    const std::string result_before = Render(*manager->Result("s1"));
+    const std::string image_before = env.ReadFileToString(path).value();
+    const bool answer = OracleAnswer(*store, goal, suggested->tuple_index);
+
+    env.FailAtOp(env.op_count() + offset,
+                 util::ResourceExhaustedError("injected: no space on device"));
+    auto failed = manager->Label("s1", suggested->class_id, answer);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), util::StatusCode::kResourceExhausted);
+    EXPECT_EQ(Render(*manager->Status("s1")), status_before);
+    EXPECT_EQ(Render(*manager->Suggest("s1")), Render(*suggested));
+    EXPECT_EQ(Render(*manager->Result("s1")), result_before);
+    EXPECT_EQ(env.ReadFileToString(path).value(), image_before);
+
+    // A contradictory label is rejected before anything is written, and the
+    // next suggest is unchanged too.
+    const uint64_t ops_before = env.op_count();
+    auto contradiction = manager->Label("s1", first->class_id, !first_answer);
+    ASSERT_FALSE(contradiction.ok());
+    EXPECT_EQ(contradiction.status().code(),
+              util::StatusCode::kFailedPrecondition);
+    EXPECT_EQ(env.op_count(), ops_before);
+    EXPECT_EQ(Render(*manager->Suggest("s1")), Render(*suggested));
+
+    // Re-sending the label succeeds; the rest is byte-identical.
+    lines.push_back(Render(*suggested));
+    auto resent = manager->Label("s1", suggested->class_id, answer);
+    ASSERT_TRUE(resent.ok()) << resent.status();
+    lines.push_back(Render(*resent));
+    lines.push_back(Render(*manager->Status("s1")));
+    const std::vector<std::string> after = Transcript(*manager, "s1", 1000);
+    lines.insert(lines.end(), after.begin(), after.end());
+    EXPECT_EQ(lines, expected);
+  }
 }
 
 }  // namespace
