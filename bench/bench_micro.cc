@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -217,25 +216,21 @@ void RegisterAll(std::vector<BenchResult>& results) {
   }
   // Both-label impact of one candidate class — the inner loop of every
   // lookahead strategy (per candidate it needs the impact of both answers).
-  // Measures the production path: the exhaustive (threshold −∞) kernel
-  // over a lookahead cache prepared once, as a decision does; the
-  // pre-kernel baseline for the same metric was two naive SimulateLabel
-  // calls.
+  // Measures the production path: the transposed kernel over a lookahead
+  // cache prepared once, as a decision does; the pre-kernel baseline for the
+  // same metric was two naive SimulateLabel calls.
   for (size_t tuples : {1000, 10000}) {
     const auto workload = MakeSynthetic(tuples, 6);
     const core::InferenceEngine engine(workload.instance);
     const auto informative = engine.InformativeClasses();
     JIM_CHECK(!informative.empty());
     const size_t target = informative[informative.size() / 2];
-    core::InferenceEngine::LookaheadBoundsCache bounds;
-    engine.PrepareLookaheadBounds(bounds);
+    core::InferenceEngine::LookaheadCache cache;
+    engine.PrepareLookahead(cache);
     results.push_back(
         RunBench("EngineSimulateLabel", static_cast<int64_t>(tuples), [&] {
-          core::InferenceEngine::LabelImpactPair both;
-          double unused_bound = 0;
-          engine.SimulateLabelBothBounded(
-              target, bounds, nullptr,
-              -std::numeric_limits<double>::infinity(), &both, &unused_bound);
+          const core::InferenceEngine::LabelImpactPair both =
+              engine.SimulateLabelBoth(target, cache);
           DoNotOptimize(both.positive.pruned_tuples +
                         both.negative.pruned_tuples);
         }));
@@ -243,7 +238,7 @@ void RegisterAll(std::vector<BenchResult>& results) {
   const auto strategy_sweep = [&results](const char* name,
                                          const char* strategy_name,
                                          uint64_t seed) {
-    for (size_t tuples : {1000, 10000}) {
+    for (size_t tuples : {1000, 10000, 100000}) {
       const auto workload = MakeSynthetic(tuples, seed);
       core::InferenceEngine engine(workload.instance);
       auto strategy = core::MakeStrategy(strategy_name).value();
@@ -262,25 +257,6 @@ void RegisterAll(std::vector<BenchResult>& results) {
   };
   strategy_sweep("LookaheadPickClass", "lookahead-entropy", 7);
   strategy_sweep("LocalDecision", "local-bottom-up", 8);
-  // Cutoff-pruned vs exhaustive lookahead decision on the serial path
-  // (arg 1 = cutoff pruning on, the production default; arg 0 = the
-  // exhaustive reference scan). Same pick either way — the cutoff only
-  // skips candidates that provably cannot win — so the ratio is pure
-  // work saved; WriteJson derives lookahead_cutoff_speedup_{10k,100k}.
-  for (size_t tuples : {10000, 100000}) {
-    const auto workload = MakeSynthetic(tuples, 7);
-    const core::InferenceEngine engine(workload.instance);
-    const char* suffix = tuples == 10000 ? "10k" : "100k";
-    for (int cutoff : {0, 1}) {
-      core::LookaheadStrategy strategy(
-          core::LookaheadStrategy::Objective::kEntropy);
-      strategy.set_thread_pool(nullptr);
-      strategy.set_cutoff_enabled(cutoff == 1);
-      results.push_back(
-          RunBench(std::string("LookaheadPickClassCutoff") + suffix, cutoff,
-                   [&] { DoNotOptimize(strategy.PickClass(engine)); }));
-    }
-  }
   // The same 10k-tuple lookahead decision on an explicit exec::ThreadPool at
   // 1/2/4 threads (arg = thread count; 1 = the serial reference path). The
   // picked class is bitwise-identical at every count — parallelism only
@@ -340,11 +316,8 @@ void RegisterAll(std::vector<BenchResult>& results) {
 /// more".
 struct WorkCounts {
   /// SimulateLabelBoth evaluations one serial lookahead-entropy PickClass
-  /// costs on the 10k instance (production path, cutoff pruning on).
+  /// costs on the 10k instance: one per scored candidate.
   uint64_t simulate_calls_per_pick = 0;
-  /// Of the candidates that decision considered, the fraction whose
-  /// simulation the cutoff skipped: skips / (skips + evaluations).
-  double cutoff_skip_fraction = 0;
   /// Classes woken (watch-drained and exactly retested) per negative label
   /// over a full 10k-instance session — the pre-watch scan visited the whole
   /// worklist instead.
@@ -363,19 +336,10 @@ WorkCounts MeasureWorkCounts() {
     strategy.set_thread_pool(nullptr);
     const uint64_t sims_before =
         registry.CounterValue(obs::kCounterEngineSimulateLabelBoth);
-    const uint64_t skips_before =
-        registry.CounterValue(obs::kCounterEngineCutoffSkips);
     DoNotOptimize(strategy.PickClass(engine));
-    const uint64_t sims =
+    counts.simulate_calls_per_pick =
         registry.CounterValue(obs::kCounterEngineSimulateLabelBoth) -
         sims_before;
-    const uint64_t skips =
-        registry.CounterValue(obs::kCounterEngineCutoffSkips) - skips_before;
-    counts.simulate_calls_per_pick = sims;
-    if (sims + skips > 0) {
-      counts.cutoff_skip_fraction =
-          static_cast<double>(skips) / static_cast<double>(sims + skips);
-    }
   }
   {
     core::LookaheadStrategy strategy(
@@ -408,7 +372,6 @@ bool WriteJson(const std::vector<BenchResult>& results,
   json.KeyValue("benchmark", "micro");
   bench::AppendMetaBlock(json);
   json.KeyValue("simulate_label_calls_per_pick", work.simulate_calls_per_pick);
-  json.KeyValue("lookahead_cutoff_skip_fraction", work.cutoff_skip_fraction);
   json.KeyValue("propagate_woken_classes_per_label",
                 work.woken_classes_per_negative_label);
   // Wall-clock speedup of the 10k-tuple lookahead decision at 4 threads vs
@@ -486,17 +449,6 @@ bool WriteJson(const std::vector<BenchResult>& results,
   if (mmap_open_ns > 0 && ingest_100k_ns > 0) {
     json.KeyValue("mmap_cold_open_vs_ingest_speedup",
                   ingest_100k_ns / mmap_open_ns);
-  }
-  // Exhaustive-scan vs cutoff-pruned lookahead decision (same pick, work
-  // saved only; values > 1 mean the cutoff wins).
-  for (const auto& size : sizes) {
-    const double exhaustive_ns =
-        find_ns("LookaheadPickClassCutoff" + size.first, 0);
-    const double pruned_ns = find_ns("LookaheadPickClassCutoff" + size.first, 1);
-    if (exhaustive_ns > 0 && pruned_ns > 0) {
-      json.KeyValue("lookahead_cutoff_speedup_" + size.first,
-                    exhaustive_ns / pruned_ns);
-    }
   }
   json.Key("results");
   json.BeginArray();

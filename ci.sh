@@ -15,8 +15,8 @@
 #                        plus a guard that every tsan.supp suppression still
 #                        matches a symbol the instrumented binaries
 #                        actually reference
-#   - ASAN stage         columnar storage/ingest suites plus the cutoff
-#                        parity + trail-undo suite under address
+#   - ASAN stage         columnar storage/ingest suites plus the lookahead
+#                        pick parity + trail-undo suites under address
 #   - UBSAN stage        integer-kernel + storage suites AND the
 #                        deterministic fuzz driver (5000 mutated JIMC
 #                        images / goal strings) under address+undefined
@@ -110,17 +110,17 @@ if [[ "${JIM_SKIP_OBS:-0}" == "1" ]]; then
   warn_skip "JIM_SKIP_OBS=1" "OBS"
 else
   (cd build && JIM_METRICS=1 ctest --output-on-failure -j"$(nproc)" \
-    -R 'ParallelParity|CutoffParity|EncodedParity|IncrementalParity|MappedParity|KernelParity|FactorizedParity')
+    -R 'ParallelParity|CutoffParity|Speculation|EncodedParity|IncrementalParity|MappedParity|KernelParity|FactorizedParity')
   ./build/jim_cli infer --load-instance="$smokedir/flights.jimc" --auto \
     --goal="To=City && Airline=Discount" \
     --metrics-out="$smokedir/metrics.json" --trace \
     > "$smokedir/observed.txt" 2> "$smokedir/observed.err"
   diff "$smokedir/loaded.txt" "$smokedir/observed.txt"
-  # The family prefixes, plus the two counters the cutoff/watch rework
-  # added: a lookahead session must record skipped candidates and woken
-  # classes, or the pruning instrumentation went silent.
+  # The family prefixes, plus the lookahead and watch work counters: a
+  # lookahead session must record its scored candidates and woken classes,
+  # or the per-pick instrumentation went silent.
   for prefix in '"engine.' '"exec.' '"storage.' \
-      '"engine.cutoff_skips' '"engine.watch_wakes'; do
+      '"engine.simulate_label_both' '"engine.watch_wakes'; do
     if ! grep -qF "$prefix" "$smokedir/metrics.json"; then
       echo "ERROR: metrics snapshot is missing ${prefix}* metrics —" \
         "instrumentation went silent" >&2
@@ -156,8 +156,8 @@ else
     -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j --target \
     exec_thread_pool_test exec_batch_runner_test \
-    core_parallel_parity_test core_cutoff_parity_test core_engine_cow_test \
-    core_encoded_parity_test relational_dictionary_test \
+    core_parallel_parity_test core_cutoff_parity_test core_speculation_test \
+    core_engine_cow_test core_encoded_parity_test relational_dictionary_test \
     core_tuple_store_test storage_sharded_store_test query_query_test \
     obs_metrics_test
   # Stale-suppression guard: every race: pattern in tsan.supp must still
@@ -176,7 +176,7 @@ else
   (cd build-tsan && \
     TSAN_OPTIONS="suppressions=$(pwd)/../tsan.supp ${TSAN_OPTIONS:-}" \
     ctest --output-on-failure -j"$(nproc)" \
-    -R 'ThreadPool|BatchSessionRunner|ParallelParity|CutoffParity|EngineCow|EncodedParity|ParallelEncode|ParallelIngest|ParallelScan|UniversalTable|Catalog|MetricsTest')
+    -R 'ThreadPool|BatchSessionRunner|ParallelParity|CutoffParity|Speculation|EngineCow|EncodedParity|ParallelEncode|ParallelIngest|ParallelScan|UniversalTable|Catalog|MetricsTest')
 fi
 
 # --- ASAN stage ----------------------------------------------------------
@@ -191,11 +191,11 @@ else
   cmake --build build-asan -j --target \
     relational_dictionary_test core_tuple_store_test \
     query_factorized_parity_test core_encoded_parity_test query_query_test \
-    core_engine_cow_test core_cutoff_parity_test storage_jimc_format_test \
-    storage_sharded_store_test storage_mapped_parity_test \
-    storage_snapshot_test
+    core_engine_cow_test core_cutoff_parity_test core_speculation_test \
+    storage_jimc_format_test storage_sharded_store_test \
+    storage_mapped_parity_test storage_snapshot_test
   (cd build-asan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|CutoffParity|UniversalTable|EngineCow|Jimc|MappedParity|Snapshot|ParallelEncode')
+    -R 'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|CutoffParity|Speculation|UniversalTable|EngineCow|Jimc|MappedParity|Snapshot|ParallelEncode')
 fi
 
 # --- UBSAN stage (address+undefined, findings fatal) ---------------------
@@ -280,14 +280,14 @@ else
     -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
   cmake --build build-audit -j --target \
     core_invariant_audit_test core_parallel_parity_test \
-    core_cutoff_parity_test core_encoded_parity_test \
+    core_cutoff_parity_test core_speculation_test core_encoded_parity_test \
     core_incremental_parity_test lattice_kernel_parity_test \
     core_lookahead_kernel_parity_test \
     query_factorized_parity_test storage_mapped_parity_test \
     core_engine_cow_test core_label_verdict_parity_test
   (cd build-audit && JIM_AUDIT_INVARIANTS=1 \
     ctest --output-on-failure -j"$(nproc)" \
-    -R 'Parity|InvariantAudit|EngineCow')
+    -R 'Parity|Speculation|InvariantAudit|EngineCow')
 fi
 
 # --- clang-tidy stage (advisory, opt-in) ---------------------------------

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <limits>
 #include <unordered_map>
 
 #include "exec/parallel.h"
@@ -629,7 +628,8 @@ util::Status InferenceEngine::SubmitClassLabel(size_t class_id, Label label,
 InferenceEngine::LabelImpact InferenceEngine::SimulateLabel(
     size_t class_id, Label label) const {
   // The naive reference implementation (full state copy + rescan); the hot
-  // path is SimulateLabelBothBounded, pinned to this by the parity tests.
+  // path is the lookahead kernel SimulateLabelBoth, pinned to this by the
+  // parity tests.
   JIM_CHECK_LT(class_id, classes_->size());
   JIM_CHECK(session_->class_status[class_id] == ClassStatus::kInformative);
   InferenceState hypothetical = state_;
@@ -655,14 +655,9 @@ InferenceEngine::LabelImpact InferenceEngine::SimulateLabel(
 
 InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
     size_t class_id) const {
-  LookaheadBoundsCache bounds;
-  PrepareLookaheadBounds(bounds);
-  LabelImpactPair impact;
-  double unused_bound = 0;
-  SimulateLabelBothBounded(class_id, bounds, nullptr,
-                           -std::numeric_limits<double>::infinity(), &impact,
-                           &unused_bound);
-  return impact;
+  LookaheadCache cache;
+  PrepareLookahead(cache);
+  return SimulateLabelBoth(class_id, cache);
 }
 
 namespace {
@@ -684,191 +679,136 @@ void FillPairBits(const lat::Partition& p, uint64_t* out) {
   }
 }
 
-/// pairs(a) ∩ pairs(b) ⊆ pairs(m), i.e. a ∧ b ≤ m (with a = b: a ≤ m).
-bool MeetBelow(const uint64_t* a, const uint64_t* b, const uint64_t* m,
-               size_t words) {
-  for (size_t w = 0; w < words; ++w) {
-    if ((a[w] & b[w] & ~m[w]) != 0) return false;
-  }
-  return true;
-}
-
-/// The scan of SimulateLabelBothBounded for the candidate at worklist
-/// position `self`; false (with *skip_bound set) when an in-scan abort
-/// fires. kWords > 0 fixes the bitset width at compile time, making the
-/// one-word case straight-line code; counts accumulate without branches,
-/// since the subset outcomes are data-dependent.
-template <size_t kWords>
-bool ScanWorklist(const InferenceEngine::LookaheadBoundsCache& bounds,
-                  size_t self, size_t pos_cap, size_t neg_cap,
-                  const InferenceEngine::AggregateBoundFn* objective,
-                  double threshold, InferenceEngine::LabelImpactPair& result,
-                  double* skip_bound) {
-  const size_t words = kWords != 0 ? kWords : bounds.words;
-  const bool bounded = threshold > -std::numeric_limits<double>::infinity();
-  const uint64_t* labeled = bounds.pair_bits.data() + self * words;
-  const uint64_t* const antichain = bounds.antichain_bits.data();
-  const uint64_t* const antichain_end =
-      antichain + bounds.antichain_bits.size();
-  // Local accumulators: writing through `result` inside the loop would
-  // force a store per class, as it may alias the cache's size_t arrays.
-  // The candidate's own class passes both subset tests, so the scan counts
-  // it like any other; until the scan reaches it, the abort bound adds it
-  // back, keeping every bound identical to pre-seeded counts.
-  size_t pos_classes = 0;
-  size_t neg_classes = 0;
-  size_t pos_tuples = 0;
-  size_t neg_tuples = 0;
-  const size_t num_positions = bounds.class_sizes.size();
-  for (size_t i = 0; i < num_positions;) {
-    if (bounded && (i & 63u) == 63u) {
-      // In-scan abort: counts so far plus the remaining worklist tuple mass
-      // (still capped) bound anything this candidate can reach. The suffix
-      // may re-count the candidate's own class — harmless, bounds only widen.
-      const size_t rem = bounds.suffix_tuples[i] +
-                         (self >= i ? bounds.class_sizes[self] : 0);
-      const double bound =
-          objective->UpperBound(std::min(pos_tuples + rem, pos_cap),
-                                std::min(neg_tuples + rem, neg_cap));
-      if (bound < threshold) {
-        *skip_bound = bound;
-        return false;
-      }
-    }
-    // Branch-free run up to the next abort position.
-    for (const size_t end = std::min(num_positions, (i + 1) | 63u); i < end;
-         ++i) {
-      const uint64_t* other = bounds.pair_bits.data() + i * words;
-      const size_t members = bounds.class_sizes[i];
-      // Negative answer: K_d ≤ K_c.
-      const bool negative = MeetBelow(other, other, labeled, words);
-      // Positive answer: forced positive iff K_c ≤ K_d, else forced negative
-      // iff K_c ∧ K_d lies under some forbidden zone.
-      bool positive = MeetBelow(labeled, labeled, other, words);
-      for (const uint64_t* m = antichain; m != antichain_end; m += words) {
-        positive |= MeetBelow(labeled, other, m, words);
-      }
-      neg_classes += negative;
-      neg_tuples += negative ? members : 0;
-      pos_classes += positive;
-      pos_tuples += positive ? members : 0;
-    }
-  }
-  result.positive = {pos_classes, pos_tuples};
-  result.negative = {neg_classes, neg_tuples};
-  return true;
+/// All ones iff pair `p` is in `bits`, else zero.
+inline uint64_t PairMask(const uint64_t* bits, size_t p) {
+  return uint64_t{0} - ((bits[p / 64] >> (p % 64)) & 1);
 }
 
 }  // namespace
 
-void InferenceEngine::PrepareLookaheadBounds(
-    LookaheadBoundsCache& cache) const {
+void InferenceEngine::PrepareLookahead(LookaheadCache& cache) const {
   const size_t n = store_->num_attributes();
   const std::vector<size_t>& informative = session_->informative;
-  // Histogram of worklist tuple mass by rank(K_c), then prefix/suffix in
-  // place. rank = n − #blocks ∈ [0, n).
-  cache.tuples_rank_le.assign(n, 0);
-  cache.tuples_rank_ge.assign(n, 0);
-  for (size_t c : informative) {
-    cache.tuples_rank_le[(*knowledge_)[c].Rank()] += (*classes_)[c].size();
+  const size_t positions = informative.size();
+  const size_t pairs = n * (n - 1) / 2;
+  const size_t pair_words = PairWords(n);
+  const size_t worklist_words = (positions + 63) / 64;
+  cache.worklist_size = positions;
+  cache.num_pairs = pairs;
+  cache.pair_words = pair_words;
+  cache.worklist_words = worklist_words;
+  cache.pair_bits.resize(positions * pair_words);
+  cache.pair_slices.assign(worklist_words * pairs, 0);
+  cache.nibble_sums.assign(worklist_words * 16 * 16, 0);
+  size_t total_tuples = 0;
+  for (size_t i = 0; i < positions; ++i) {
+    const size_t c = informative[i];
+    uint64_t* bits = cache.pair_bits.data() + i * pair_words;
+    FillPairBits((*knowledge_)[c], bits);
+    const uint64_t position_bit = uint64_t{1} << (i % 64);
+    uint64_t* slices = cache.pair_slices.data() + (i / 64) * pairs;
+    for (size_t w = 0; w < pair_words; ++w) {
+      for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+        slices[w * 64 + static_cast<size_t>(__builtin_ctzll(word))] |=
+            position_bit;
+      }
+    }
+    // Singletons first; the subset sums are filled in below.
+    const size_t size = (*classes_)[c].size();
+    total_tuples += size;
+    cache.nibble_sums[(i / 4) * 16 + (size_t{1} << (i % 4))] =
+        (uint64_t{1} << LookaheadCache::kCountShift) + size;
   }
-  size_t run = 0;
-  for (size_t r = n; r-- > 0;) {
-    run += cache.tuples_rank_le[r];
-    cache.tuples_rank_ge[r] = run;
-  }
-  cache.total_tuples = run;
-  for (size_t r = 1; r < n; ++r) {
-    cache.tuples_rank_le[r] += cache.tuples_rank_le[r - 1];
-  }
-  cache.suffix_tuples.assign(informative.size() + 1, 0);
-  size_t suffix = 0;
-  for (size_t i = informative.size(); i-- > 0;) {
-    suffix += (*classes_)[informative[i]].size();
-    cache.suffix_tuples[i] = suffix;
+  JIM_CHECK_LT(total_tuples, uint64_t{1} << LookaheadCache::kCountShift);
+  // Every other subset adds its lowest member to the rest: v = low + (v − low).
+  for (size_t nibble = 0; nibble < worklist_words * 16; ++nibble) {
+    uint64_t* sums = cache.nibble_sums.data() + nibble * 16;
+    for (size_t v = 3; v < 16; ++v) {
+      const size_t low = v & (~v + 1);
+      if (low != v) sums[v] = sums[low] + sums[v - low];
+    }
   }
   const std::vector<lat::Partition>& members = state_.negatives().members();
-  cache.antichain_empty = members.empty();
-
-  const size_t words = PairWords(n);
-  cache.words = words;
-  cache.pair_bits.resize(informative.size() * words);
-  cache.class_sizes.resize(informative.size());
-  for (size_t i = 0; i < informative.size(); ++i) {
-    FillPairBits((*knowledge_)[informative[i]],
-                 cache.pair_bits.data() + i * words);
-    cache.class_sizes[i] = (*classes_)[informative[i]].size();
-  }
-  cache.antichain_bits.resize(members.size() * words);
+  cache.antichain_bits.resize(members.size() * pair_words);
   for (size_t a = 0; a < members.size(); ++a) {
-    FillPairBits(members[a], cache.antichain_bits.data() + a * words);
+    FillPairBits(members[a], cache.antichain_bits.data() + a * pair_words);
   }
   // Audit: every bitset re-derived from Partition::Pairs() through the
   // closed-form pair index.
-  const auto audited = [n, words](const lat::Partition& p,
-                                  const uint64_t* bits) {
-    std::vector<uint64_t> expected(words, 0);
+  const auto audited = [n, pair_words](const lat::Partition& p,
+                                       const uint64_t* bits) {
+    std::vector<uint64_t> expected(pair_words, 0);
     for (const auto& [i, j] : p.Pairs()) {
       const size_t bit = i * (2 * n - i - 1) / 2 + (j - i - 1);
       expected[bit / 64] |= uint64_t{1} << (bit % 64);
     }
-    return expected == std::vector<uint64_t>(bits, bits + words);
+    return expected == std::vector<uint64_t>(bits, bits + pair_words);
   };
   JIM_AUDIT({
-    for (size_t i = 0; i < informative.size(); ++i) {
+    for (size_t i = 0; i < positions; ++i) {
       JIM_CHECK(audited(ClassKnowledge(informative[i]),
-                        cache.pair_bits.data() + i * words))
+                        cache.pair_bits.data() + i * pair_words))
           << "stale pair bitset for class " << informative[i];
     }
     for (size_t a = 0; a < members.size(); ++a) {
-      JIM_CHECK(audited(members[a], cache.antichain_bits.data() + a * words))
+      JIM_CHECK(
+          audited(members[a], cache.antichain_bits.data() + a * pair_words))
           << "stale pair bitset for antichain member " << a;
     }
   });
 }
 
-bool InferenceEngine::SimulateLabelBothBounded(
-    size_t class_id, const LookaheadBoundsCache& bounds,
-    const AggregateBoundFn* objective, double threshold,
-    LabelImpactPair* impact, double* skip_bound) const {
+InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
+    size_t class_id, const LookaheadCache& cache) const {
   JIM_CHECK_LT(class_id, classes_->size());
   JIM_CHECK(session_->class_status[class_id] == ClassStatus::kInformative);
-  JIM_CHECK_EQ(bounds.class_sizes.size(), session_->informative.size())
+  JIM_CHECK_EQ(cache.worklist_size, session_->informative.size())
       << "lookahead cache prepared for another worklist";
-  // Threshold −∞ can never be beaten by a bound: skip computing them.
-  const bool bounded = threshold > -std::numeric_limits<double>::infinity();
-  JIM_CHECK(!bounded || objective != nullptr);
-  // Per-candidate caps on the two counts (see LookaheadBoundsCache).
-  const size_t rank = (*knowledge_)[class_id].Rank();
-  const size_t neg_cap = bounds.tuples_rank_le[rank];
-  const size_t pos_cap = bounds.antichain_empty ? bounds.tuples_rank_ge[rank]
-                                                : bounds.total_tuples;
-  if (bounded) {
-    // O(1) precheck: can the candidate beat the threshold at all?
-    const double bound = objective->UpperBound(pos_cap, neg_cap);
-    if (bound < threshold) {
-      *skip_bound = bound;
-      JIM_COUNT(obs::kCounterEngineCutoffSkips);
-      return false;
+  const size_t pairs = cache.num_pairs;
+  const uint64_t* labeled = cache.pair_bits.data() +
+                            session_->worklist_pos[class_id] * cache.pair_words;
+  const uint64_t* const antichain = cache.antichain_bits.data();
+  const uint64_t* const antichain_end = antichain + cache.antichain_bits.size();
+  // Packed (count, tuples) sums over N and U; see LookaheadCache::nibble_sums.
+  uint64_t negative_sum = 0;
+  uint64_t positive_sum = 0;
+  for (size_t w = 0; w < cache.worklist_words; ++w) {
+    const uint64_t* slice = cache.pair_slices.data() + w * pairs;
+    uint64_t outside = 0;            // ⋃_{p∉L} S_p
+    uint64_t inside = ~uint64_t{0};  // ⋂_{p∈L} S_p
+    for (size_t p = 0; p < pairs; ++p) {
+      const uint64_t in_labeled = PairMask(labeled, p);
+      outside |= slice[p] & ~in_labeled;
+      inside &= slice[p] | ~in_labeled;
+    }
+    uint64_t dominated = 0;  // ⋃_m ¬⋃_{p∈L∖m} S_p
+    for (const uint64_t* m = antichain; m != antichain_end;
+         m += cache.pair_words) {
+      uint64_t escapes = 0;
+      for (size_t p = 0; p < pairs; ++p) {
+        escapes |= slice[p] & PairMask(labeled, p) & ~PairMask(m, p);
+      }
+      dominated |= ~escapes;
+    }
+    // Positions past the end of the worklist are clear in every slice and
+    // count zero in nibble_sums, so the complemented sets need no masking.
+    const uint64_t negative = ~outside;
+    const uint64_t positive = inside | dominated;
+    const uint64_t* sums = cache.nibble_sums.data() + w * 16 * 16;
+    for (unsigned k = 0; k < 64; k += 4, sums += 16) {
+      negative_sum += sums[(negative >> k) & 0xF];
+      positive_sum += sums[(positive >> k) & 0xF];
     }
   }
-  const size_t self = session_->worklist_pos[class_id];
-  LabelImpactPair result;
-  const bool evaluated =
-      bounds.words == 1
-          ? ScanWorklist<1>(bounds, self, pos_cap, neg_cap, objective,
-                            threshold, result, skip_bound)
-          : ScanWorklist<0>(bounds, self, pos_cap, neg_cap, objective,
-                            threshold, result, skip_bound);
-  if (!evaluated) {
-    JIM_COUNT(obs::kCounterEngineCutoffSkips);
-    return false;
-  }
-  // Counted only on full evaluation, so skip fraction =
-  // cutoff_skips / (cutoff_skips + simulate_label_both) stays exact.
   JIM_COUNT(obs::kCounterEngineSimulateLabelBoth);
-  *impact = result;
-  return true;
+  constexpr uint64_t kTupleMask =
+      (uint64_t{1} << LookaheadCache::kCountShift) - 1;
+  LabelImpactPair result;
+  result.positive = {positive_sum >> LookaheadCache::kCountShift,
+                     positive_sum & kTupleMask};
+  result.negative = {negative_sum >> LookaheadCache::kCountShift,
+                     negative_sum & kTupleMask};
+  return result;
 }
 
 bool InferenceEngine::InstanceEquivalent(const JoinPredicate& p1,

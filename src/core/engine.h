@@ -205,82 +205,64 @@ class InferenceEngine {
   /// What would happen if `class_id` got `label` (see LabelImpact). Pure.
   LabelImpact SimulateLabel(size_t class_id, Label label) const;
 
-  /// Both answers' impacts (see SimulateLabelBothBounded).
+  /// Both answers' impacts of one candidate.
   struct LabelImpactPair {
     LabelImpact positive;
     LabelImpact negative;
   };
-  /// SimulateLabelBothBounded at threshold −∞ over a freshly prepared cache:
-  /// O(worklist · n²) per call, so only tests and benches use it — lookahead
-  /// prepares the cache once per decision and calls the kernel directly.
+  /// The lookahead kernel below over a freshly prepared cache: O(worklist ·
+  /// n²) per call, so only tests and benches use it — lookahead prepares the
+  /// cache once per decision and calls the two-argument overload.
   LabelImpactPair SimulateLabelBoth(size_t class_id) const;
 
-  /// Upper-bound oracle for cutoff-pruned lookahead: given caps on the two
-  /// pruning counts (n⁺ ≤ pos_cap, n⁻ ≤ neg_cap), returns a value ≥ the
-  /// aggregate score of any feasible (n⁺, n⁻). Implemented by the strategy
-  /// over its (monotone) objective; the engine only ever *compares* bounds,
-  /// so a looser implementation costs skips, never correctness.
-  class AggregateBoundFn {
-   public:
-    virtual ~AggregateBoundFn() = default;
-    virtual double UpperBound(size_t pos_cap, size_t neg_cap) const = 0;
-  };
-
-  /// Per-decision lookahead state, built once by PrepareLookaheadBounds and
-  /// shared (read-only) by every concurrent SimulateLabelBothBounded call of
-  /// that decision:
-  ///   - rank-histogram prefix/suffix tuple sums over the worklist, keyed by
-  ///     rank(K_c) — K_d ≤ K_c forces rank(K_d) ≤ rank(K_c), so the prefix
-  ///     sum at rank(K_c) caps the negative-answer pruning, and (antichain
-  ///     empty) the suffix sum caps the positive-answer pruning;
-  ///   - tuple suffix sums by worklist position, for the in-scan abort:
-  ///     after position i, at most suffix[i] more tuples can ever be added
-  ///     to either count;
-  ///   - the lattice as pair sets: bit (i, j) of a partition's pair bitset
-  ///     is set iff attributes i < j share a block (row-major over the upper
-  ///     triangle). K ≤ K′ iff pairs(K) ⊆ pairs(K′), and pairs(K ∧ K′) =
-  ///     pairs(K) ∩ pairs(K′), so every refinement and meet the kernel needs
-  ///     is a few word-wide AND / AND-NOT tests.
-  struct LookaheadBoundsCache {
-    std::vector<size_t> tuples_rank_le;  ///< by rank r: Σ tuples, rank(K)≤r
-    std::vector<size_t> tuples_rank_ge;  ///< by rank r: Σ tuples, rank(K)≥r
-    std::vector<size_t> suffix_tuples;   ///< by worklist position, size+1
-    size_t total_tuples = 0;             ///< Σ tuples over the worklist
-    bool antichain_empty = true;
-    size_t words = 0;  ///< words per pair bitset: ⌈n(n−1)/2 ÷ 64⌉
-    std::vector<uint64_t> pair_bits;       ///< K_c by worklist position
-    std::vector<size_t> class_sizes;       ///< by worklist position
-    std::vector<uint64_t> antichain_bits;  ///< per antichain member
+  /// Per-decision lookahead state, built once by PrepareLookahead and read,
+  /// never written, by every candidate of that decision. Partitions are pair
+  /// sets: bit k of a pair bitset is the k-th attribute pair i < j
+  /// (row-major over the upper triangle), set iff i and j share a block, so
+  /// K ≤ K′ iff pairs(K) ⊆ pairs(K′) and pairs(K ∧ K′) = pairs(K) ∩
+  /// pairs(K′). The cache also holds that relation transposed: per pair p,
+  /// the worklist bitset S_p = {d : p ∈ pairs(K_d)}, which every candidate
+  /// reads instead of re-deriving it class by class.
+  struct LookaheadCache {
+    static constexpr unsigned kCountShift = 40;  ///< see nibble_sums
+    size_t worklist_size = 0;   ///< W, the worklist it was prepared for
+    size_t num_pairs = 0;       ///< P = n(n−1)/2
+    size_t pair_words = 0;      ///< words per pair bitset: ⌈P ÷ 64⌉
+    size_t worklist_words = 0;  ///< words per worklist bitset: ⌈W ÷ 64⌉
+    std::vector<uint64_t> pair_bits;       ///< pairs(K_d), by worklist position
+    std::vector<uint64_t> antichain_bits;  ///< pairs(m), per antichain member
+    /// Word w of S_p at [w · P + p]: a candidate's pass over one worklist
+    /// word reads P consecutive words.
+    std::vector<uint64_t> pair_slices;
+    /// Class count and tuple sum of every subset of each worklist nibble,
+    /// packed as count · 2^kCountShift + tuples: entry [(16w + k) · 16 + v]
+    /// covers the positions 64w + 4k + i for the set bits i of v. A worklist
+    /// bitset then sums in 16 table reads per word.
+    std::vector<uint64_t> nibble_sums;
   };
   /// Fills `cache` for the current worklist. O(worklist · n²). Invalidated
   /// by any accepted label (like InformativeClasses()). Under JIM_AUDIT the
-  /// bitsets are re-derived from Partition::Pairs() and compared.
-  void PrepareLookaheadBounds(LookaheadBoundsCache& cache) const;
+  /// pair bitsets are re-derived from Partition::Pairs() and compared.
+  void PrepareLookahead(LookaheadCache& cache) const;
 
   /// The lookahead kernel: both answers' impacts of labeling informative
-  /// class c, in one pass over the worklist bitsets of `bounds`:
-  ///   negative answer: the new forbidden zone is K_c, so a still-informative
-  ///     class d is pruned iff K_d ≤ K_c;
+  /// class c, exactly {SimulateLabel(c, +), SimulateLabel(c, −)}. With
+  /// L = pairs(K_c), every still-informative class d (c included) is counted
+  /// from the cache's slices, one worklist word at a time:
+  ///   negative answer: the new forbidden zone is K_c, so d is pruned iff
+  ///     K_d ≤ K_c, i.e. d lies in no S_p with p ∉ L: N = ¬⋃_{p∉L} S_p;
   ///   positive answer: the new θ_P is K_c, so d is forced positive iff
-  ///     K_c ≤ K_d, and otherwise forced negative iff K_c ∧ K_d lies under
-  ///     an antichain member (restricting the antichain to the new θ_P
-  ///     cannot change that test for partitions below it).
-  /// Exactly equal to {SimulateLabel(c, +), SimulateLabel(c, −)}.
-  ///
-  /// Cutoff pruning: returns true with *impact filled when the candidate was
-  /// fully evaluated, or false with *skip_bound set once its upper bound
-  /// under `objective` — the O(1) precheck, or an in-scan abort (counts so
-  /// far + remaining-tuples cap) — provably cannot reach `threshold`. The
-  /// skip test is strict (bound < threshold), so a candidate tying the best
-  /// score is always evaluated and argmax tie-breaking is unaffected.
-  /// Threshold −∞ is the exhaustive case (`objective` may then be null).
-  /// Reads only the engine and `bounds`, so any number of threads may score
-  /// candidates of one engine concurrently.
-  bool SimulateLabelBothBounded(size_t class_id,
-                                const LookaheadBoundsCache& bounds,
-                                const AggregateBoundFn* objective,
-                                double threshold, LabelImpactPair* impact,
-                                double* skip_bound) const;
+  ///     K_c ≤ K_d (d ∈ ⋂_{p∈L} S_p), and forced negative iff K_c ∧ K_d lies
+  ///     under an antichain member m (d ∈ ¬⋃_{p∈L∖m} S_p; restricting the
+  ///     antichain to the new θ_P cannot change that test for partitions
+  ///     below it): U = ⋂_{p∈L} S_p ∪ ⋃_m ¬⋃_{p∈L∖m} S_p.
+  /// n⁻ and n⁺ are the class counts and size sums over N and U. Every
+  /// candidate is scored in full — there is no bound or early exit — and
+  /// each call adds one to engine.simulate_label_both. One code path serves
+  /// every pair and worklist width. Reads only the engine and `cache`, so
+  /// any number of threads may score candidates of one engine concurrently.
+  LabelImpactPair SimulateLabelBoth(size_t class_id,
+                                    const LookaheadCache& cache) const;
 
   /// True iff p1 and p2 select exactly the same tuples of the instance —
   /// InstanceEquivalent(store(), p1, p2) decided over the class table

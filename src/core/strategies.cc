@@ -1,7 +1,6 @@
 #include "core/strategies.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -149,122 +148,32 @@ double LookaheadStrategy::Aggregate(size_t n_plus, size_t n_minus) const {
   return 0;
 }
 
-bool LookaheadStrategy::CutoffUsable() const {
-  if (objective_ != Objective::kEntropy) return true;
-  // The Shannon branch fires for α ≈ 1 > 0; plain Tsallis needs α > 0 for
-  // monotonicity (α ≤ 0 puts negative exponents on the counts).
-  return alpha_ > 0;
-}
-
-namespace {
-
-/// Strategy-objective adapter for the engine's bounded simulation: the upper
-/// bound at (pos_cap, neg_cap) is the objective itself (monotone — see
-/// LookaheadStrategy::CutoffUsable), widened for the entropy family by a
-/// multiplicative ulp-scale slack so floating-point rounding of log/pow can
-/// never make the "bound" dip below an achievable score.
-class MonotoneBound final : public InferenceEngine::AggregateBoundFn {
- public:
-  MonotoneBound(const LookaheadStrategy& strategy, bool slack)
-      : strategy_(strategy), slack_(slack) {}
-  double UpperBound(size_t pos_cap, size_t neg_cap) const override {
-    const double value = strategy_.ObjectiveValue(pos_cap, neg_cap);
-    if (!slack_) return value;  // min/mean: exact in double up to 2^53
-    return value * (1.0 + 1e-9) + 1e-9;
-  }
-
- private:
-  const LookaheadStrategy& strategy_;
-  const bool slack_;
-};
-
-}  // namespace
-
-std::vector<double> LookaheadStrategy::ScoreSampled(
-    const InferenceEngine& engine, const std::vector<size_t>& candidates,
-    const InferenceEngine::AggregateBoundFn* objective) {
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  last_skips_.clear();
-  last_evaluated_ = 0;
+std::vector<double> LookaheadStrategy::Score(
+    const InferenceEngine& engine, const std::vector<size_t>& candidates) {
   // Deterministic candidate cap: score an evenly spaced subsample when the
   // pool is too large; unsampled candidates keep -inf and are never picked.
   const size_t n = candidates.size();
   const size_t cap = max_candidates_ == 0 ? n : std::min(n, max_candidates_);
-  std::vector<double> scores(n, kNegInf);
-  std::vector<double> skip_bound(n, kNegInf);
-  std::vector<uint8_t> evaluated(n, 0);
-  InferenceEngine::LookaheadBoundsCache bounds;
-  engine.PrepareLookaheadBounds(bounds);
-  // The running best is a relaxed atomic maximum: serially it is a monotone
-  // running maximum, and a chunk reading a stale (smaller) best merely skips
-  // less. Every skipped candidate's true score stays strictly below the
-  // final maximum, so the argmax over `scores` is the exhaustive one — the
-  // scores are bitwise the same wherever they were computed, and every
-  // candidate achieving the maximum is always computed.
-  std::atomic<double> best{kNegInf};
+  std::vector<double> scores(n, -std::numeric_limits<double>::infinity());
+  InferenceEngine::LookaheadCache cache;
+  engine.PrepareLookahead(cache);
   // Sampled candidate j → slot j*n/cap, strictly increasing in j, so every
   // chunk writes disjoint slots; the kernel reads only the engine and the
   // shared cache, and Aggregate is pure.
-  const auto evaluate = [&](size_t j) {
+  const auto evaluate = [&](size_t j, size_t /*chunk*/) {
     const size_t i = j * n / cap;
-    const double threshold =
-        objective != nullptr ? best.load(std::memory_order_relaxed) : kNegInf;
-    InferenceEngine::LabelImpactPair both;
-    if (!engine.SimulateLabelBothBounded(candidates[i], bounds, objective,
-                                         threshold, &both, &skip_bound[i])) {
-      return;
-    }
-    const double score =
+    const InferenceEngine::LabelImpactPair both =
+        engine.SimulateLabelBoth(candidates[i], cache);
+    scores[i] =
         Aggregate(both.positive.pruned_tuples, both.negative.pruned_tuples);
-    scores[i] = score;
-    evaluated[i] = 1;
-    double current = best.load(std::memory_order_relaxed);
-    while (current < score &&
-           !best.compare_exchange_weak(current, score,
-                                       std::memory_order_relaxed)) {
-    }
   };
-  // The first candidate always runs alone, so a fan-out starts every chunk
-  // from a real threshold rather than −∞, as the serial scan does.
-  if (cap > 0) evaluate(0);
   exec::ThreadPool* pool = use_shared_pool_ ? &exec::SharedPool() : pool_;
-  if (pool != nullptr && pool->threads() > 1 && cap > 2) {
-    pool->ParallelFor(cap - 1, [&](size_t j, size_t) { evaluate(j + 1); });
+  if (pool != nullptr && pool->threads() > 1 && cap > 1) {
+    pool->ParallelFor(cap, evaluate);
   } else {
-    for (size_t j = 1; j < cap; ++j) evaluate(j);
-  }
-  if (objective != nullptr) {
-    for (size_t j = 0; j < cap; ++j) {
-      const size_t i = j * n / cap;
-      if (evaluated[i]) {
-        ++last_evaluated_;
-      } else {
-        last_skips_.push_back(CutoffSkip{candidates[i], skip_bound[i]});
-      }
-    }
+    for (size_t j = 0; j < cap; ++j) evaluate(j, 0);
   }
   return scores;
-}
-
-std::vector<double> LookaheadStrategy::Score(
-    const InferenceEngine& engine, const std::vector<size_t>& candidates) {
-  return ScoreSampled(engine, candidates, nullptr);
-}
-
-size_t LookaheadStrategy::PickClass(const InferenceEngine& engine) {
-  if (!cutoff_enabled_ || !CutoffUsable()) {
-    return Strategy::PickClass(engine);
-  }
-  const std::vector<size_t>& candidates = engine.InformativeClasses();
-  JIM_CHECK(!candidates.empty()) << "PickClass on a finished engine";
-  const MonotoneBound objective(*this, objective_ == Objective::kEntropy);
-  const std::vector<double> scores =
-      ScoreSampled(engine, candidates, &objective);
-  size_t best_i = 0;
-  for (size_t i = 1; i < scores.size(); ++i) {
-    if (scores[i] > scores[best_i]) best_i = i;
-  }
-  return candidates[best_i];
 }
 
 // --------------------------------------------------------------- Optimal --

@@ -78,18 +78,19 @@ class LocalStrategy : public Strategy {
 ///   kEntropy   — (n⁺+n⁻) · H_α(n⁺/(n⁺+n⁻)): the generalized-entropy
 ///                objective the paper alludes to (Tsallis family; α = 1 is
 ///                Shannon entropy).
-/// O(#classes) simulations per candidate; `max_candidates` bounds the number
-/// of candidates scored per step (a deterministic sample keeps huge
-/// instances interactive), 0 = unlimited.
+/// `max_candidates` bounds the number of candidates scored per step (a
+/// deterministic sample keeps huge instances interactive), 0 = unlimited.
 ///
-/// Each decision prepares the engine's LookaheadBoundsCache once and runs
-/// InferenceEngine::SimulateLabelBothBounded per candidate: a few word-wide
-/// bit tests per worklist class. Scoring is embarrassingly parallel — the
-/// kernel reads only the engine and the shared cache — and runs on a thread
-/// pool (exec::SharedPool() by default). The parallel path is
-/// bitwise-deterministic at any thread count: each candidate's score lands
-/// in its slot of a pre-sized vector, and PickClass's serial argmax (ties
-/// toward the smallest index) is unchanged.
+/// Each decision prepares the engine's LookaheadCache once — the per-pair
+/// worklist bitsets — and scores every sampled candidate exactly with
+/// InferenceEngine::SimulateLabelBoth over it: per worklist word, a few
+/// word-wide ORs and ANDs per attribute pair. There is no cutoff; the pick
+/// is Strategy::PickClass's argmax over Score (ties toward the smallest
+/// index). Scoring is embarrassingly parallel — the kernel reads only the
+/// engine and the shared cache — and runs on a thread pool
+/// (exec::SharedPool() by default). The parallel path is bitwise-identical
+/// at any thread count: each candidate's score lands in its slot of a
+/// pre-sized vector.
 class LookaheadStrategy : public Strategy {
  public:
   enum class Objective { kMinMax, kExpected, kEntropy };
@@ -100,19 +101,6 @@ class LookaheadStrategy : public Strategy {
   std::vector<double> Score(const InferenceEngine& engine,
                             const std::vector<size_t>& candidates) override;
 
-  /// Cutoff-pruned argmax (see DESIGN below): candidates whose aggregate
-  /// upper bound provably cannot beat the best score found so far are
-  /// skipped without (or part-way through) their kernel scan.
-  /// The skip test is strict (bound < best), every Aggregate objective here
-  /// is monotone in each pruning count, and computed scores are bitwise
-  /// those of Score — so the returned class is always identical to
-  /// Strategy::PickClass over an exhaustive Score, at any thread count
-  /// (serially the best is a monotone running maximum; in parallel it is a
-  /// relaxed atomic maximum, and a stale read only costs a missed skip).
-  /// Falls back to the exhaustive path when cutoff is disabled or the
-  /// objective is non-monotone (Tsallis α ≤ 0).
-  size_t PickClass(const InferenceEngine& engine) override;
-
   /// Scores candidates on `pool` instead of the process-wide default;
   /// nullptr forces the serial reference path. The pool is not owned and
   /// must outlive the strategy's last Score call.
@@ -121,47 +109,16 @@ class LookaheadStrategy : public Strategy {
     use_shared_pool_ = false;
   }
 
-  /// Cutoff pruning is on by default; benches and parity tests switch it off
-  /// to get the exhaustive reference path.
-  void set_cutoff_enabled(bool enabled) { cutoff_enabled_ = enabled; }
-  bool cutoff_enabled() const { return cutoff_enabled_; }
-
-  /// The aggregate objective itself, exposed so tests can recompute a
-  /// skipped candidate's true score and check it against the bound it was
-  /// skipped under (bound soundness).
+  /// The aggregate objective itself, exposed so tests can rebuild the
+  /// argmax from naive SimulateLabel counts.
   double ObjectiveValue(size_t n_plus, size_t n_minus) const {
     return Aggregate(n_plus, n_minus);
   }
   Objective objective() const { return objective_; }
   double alpha() const { return alpha_; }
 
-  /// Instrumentation from the most recent PickClass call (empty after Score
-  /// or when the cutoff was bypassed): which sampled candidates were skipped
-  /// and under what bound, in candidate order, plus how many were fully
-  /// evaluated. Skip *counts* may vary with thread count (the parallel best
-  /// evolves nondeterministically); the returned pick never does.
-  struct CutoffSkip {
-    size_t class_id = 0;
-    double bound = 0;
-  };
-  const std::vector<CutoffSkip>& last_skips() const { return last_skips_; }
-  size_t last_evaluated() const { return last_evaluated_; }
-
  private:
   double Aggregate(size_t n_plus, size_t n_minus) const;
-  /// Score and the cutoff argmax share this loop: scores the sampled
-  /// candidates (the rest keep −∞) over one LookaheadBoundsCache. With
-  /// `objective` set, candidates are cutoff-pruned against the best score so
-  /// far and the skips recorded in last_skips(); null scores exhaustively.
-  std::vector<double> ScoreSampled(
-      const InferenceEngine& engine, const std::vector<size_t>& candidates,
-      const InferenceEngine::AggregateBoundFn* objective);
-  /// True when Aggregate is monotone nondecreasing in each count, which is
-  /// what makes Aggregate(caps) a sound upper bound: min and mean trivially;
-  /// total · H_α at fixed total is maximized... (∂/∂n⁺ of the Shannon form is
-  /// ln(total/n⁺) ≥ 0, Tsallis α > 0 likewise). Tsallis α ≤ 0 is not, so the
-  /// cutoff turns itself off there.
-  bool CutoffUsable() const;
 
   Objective objective_;
   double alpha_;
@@ -169,9 +126,6 @@ class LookaheadStrategy : public Strategy {
   std::string name_;
   exec::ThreadPool* pool_ = nullptr;  ///< not owned (see set_thread_pool)
   bool use_shared_pool_ = true;
-  bool cutoff_enabled_ = true;
-  std::vector<CutoffSkip> last_skips_;
-  size_t last_evaluated_ = 0;
 };
 
 /// Exact minimax strategy: explores the full game tree of (question, answer)

@@ -29,14 +29,13 @@ inline constexpr char kCounterEnginePropagateRuns[] =
     "engine.propagate.runs";
 inline constexpr char kCounterEnginePrunedClasses[] =
     "engine.propagate.pruned_classes";
-/// One Add per SimulateLabelBoth evaluation — the baseline any lookahead
-/// cutoff optimization must beat (see ROADMAP direction 2).
+/// One Add per lookahead kernel call (InferenceEngine::SimulateLabelBoth):
+/// every candidate a lookahead decision scores, since each is scored in full.
 inline constexpr char kCounterEngineSimulateLabelBoth[] =
     "engine.simulate_label_both";
-/// Lookahead candidates whose simulation was skipped (or aborted mid-scan)
-/// because their upper bound provably could not beat the best score already
-/// computed — the work the cutoff saves. skip fraction =
-/// cutoff_skips / (cutoff_skips + simulate_label_both).
+/// Never incremented: lookahead has no cutoff, so no candidate is skipped.
+/// Kept only because jimbench/src/layers.cc still reads it (its
+/// engine.cutoff_skips_per_pick and engine.cutoff_useful_frac rows read 0).
 inline constexpr char kCounterEngineCutoffSkips[] = "engine.cutoff_skips";
 /// Classes woken (watch-list drained and fully retested) by a negative-label
 /// propagation. The watch win is this number staying far below the worklist

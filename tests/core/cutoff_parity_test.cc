@@ -1,27 +1,22 @@
-// Cutoff-pruned lookahead and the speculative trail, pinned against their
-// exhaustive references:
-//   - PickClass with cutoff pruning returns the exact class the exhaustive
-//     argmax returns, serially and at 1/2/8 threads;
-//   - full session transcripts are byte-identical either way;
-//   - bound soundness: every skipped candidate's true score is ≤ the bound
-//     it was skipped under (the cutoff never discards a potential winner);
-//   - SpeculativeSession apply/undo round-trips restore the state and the
-//     live list exactly, and the trail-based minimax agrees with a naive
-//     state-copying reference solver.
+// Lookahead picks pinned to the naive reference (tests/core/naive_lookahead.h:
+// every candidate scored from two full-rescan SimulateLabel calls):
+//   - PickClass returns the reference argmax serially and at 1/2/8 threads;
+//   - full session transcripts equal those of a session driven by the
+//     reference picks.
+// The suite keeps its name from the cutoff pruning it was written for; the
+// contract — picks bitwise equal to the exhaustive argmax — is unchanged.
+// The speculative trail and minimax checks live in speculation_test.cc.
 
-#include <algorithm>
-#include <memory>
-#include <unordered_map>
+#include <tuple>
 #include <vector>
 
 #include "core/jim.h"
 #include "exec/thread_pool.h"
 #include "gtest/gtest.h"
+#include "naive_lookahead.h"
 #include "util/check.h"
-#include "util/logging.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
-#include "workload/travel.h"
 
 namespace jim::core {
 namespace {
@@ -51,6 +46,8 @@ std::vector<LookaheadStrategy::Objective> AllObjectives() {
           LookaheadStrategy::Objective::kEntropy};
 }
 
+using Transcript = std::vector<std::tuple<size_t, size_t, Label, size_t>>;
+
 TEST(CutoffParityTest, PickMatchesExhaustiveAcrossThreadCounts) {
   for (uint64_t seed : {3u, 14u, 159u}) {
     const auto workload = MakeWorkload(seed);
@@ -58,21 +55,16 @@ TEST(CutoffParityTest, PickMatchesExhaustiveAcrossThreadCounts) {
     ASSERT_FALSE(engine.InformativeClasses().empty());
 
     for (auto objective : AllObjectives()) {
-      LookaheadStrategy exhaustive(objective);
-      exhaustive.set_thread_pool(nullptr);
-      exhaustive.set_cutoff_enabled(false);
-      const size_t reference = exhaustive.PickClass(engine);
-
       LookaheadStrategy serial(objective);
       serial.set_thread_pool(nullptr);
+      const size_t reference = NaiveLookaheadPick(engine, serial);
       EXPECT_EQ(serial.PickClass(engine), reference) << "seed=" << seed;
 
       for (size_t threads : {1u, 2u, 8u}) {
         exec::ThreadPool pool(threads);
-        LookaheadStrategy pruned(objective);
-        pruned.set_thread_pool(&pool);
-        ASSERT_TRUE(pruned.cutoff_enabled());
-        EXPECT_EQ(pruned.PickClass(engine), reference)
+        LookaheadStrategy parallel(objective);
+        parallel.set_thread_pool(&pool);
+        EXPECT_EQ(parallel.PickClass(engine), reference)
             << "seed=" << seed << " threads=" << threads;
       }
     }
@@ -83,241 +75,39 @@ TEST(CutoffParityTest, TranscriptsMatchExhaustiveAcrossThreadCounts) {
   for (uint64_t seed : {11u, 97u}) {
     const auto workload = MakeWorkload(seed);
 
-    LookaheadStrategy exhaustive(LookaheadStrategy::Objective::kEntropy);
-    exhaustive.set_thread_pool(nullptr);
-    exhaustive.set_cutoff_enabled(false);
-    const SessionResult reference =
-        RunSession(workload.instance, workload.goal, exhaustive);
-    ASSERT_TRUE(reference.identified_goal);
-
-    auto transcript = [](const SessionResult& result) {
-      std::vector<std::tuple<size_t, size_t, Label, size_t>> t;
-      for (const SessionStep& step : result.steps) {
-        t.emplace_back(step.class_id, step.tuple_index, step.label,
-                       step.pruned_tuples);
-      }
-      return t;
-    };
-
-    for (size_t threads : {1u, 2u, 8u}) {
-      exec::ThreadPool pool(threads);
-      LookaheadStrategy pruned(LookaheadStrategy::Objective::kEntropy);
-      pruned.set_thread_pool(&pool);
-      const SessionResult result =
-          RunSession(workload.instance, workload.goal, pruned);
-      EXPECT_EQ(transcript(result), transcript(reference))
-          << "seed=" << seed << " threads=" << threads;
-    }
-  }
-}
-
-TEST(CutoffParityTest, SkippedBoundsAreSoundAndSkipsHappen) {
-  // Drive whole sessions serially with the cutoff on; at every decision,
-  // recompute each skipped candidate's true score exhaustively and check it
-  // against the bound it was skipped under. Winners can then never be lost:
-  // a skip needs true ≤ bound < some computed score ≤ max.
-  size_t total_skips = 0;
-  size_t total_evaluated = 0;
-  for (uint64_t seed : {5u, 23u}) {
-    for (auto objective : AllObjectives()) {
-      const auto workload = MakeWorkload(seed);
+    // The reference session: every question is the naive argmax.
+    Transcript reference;
+    {
+      const LookaheadStrategy objective(LookaheadStrategy::Objective::kEntropy);
       InferenceEngine engine(workload.instance);
       ExactOracle oracle(workload.goal);
-      LookaheadStrategy pruned(objective);
-      pruned.set_thread_pool(nullptr);
-
       while (!engine.IsDone()) {
-        const size_t pick = pruned.PickClass(engine);
-        total_evaluated += pruned.last_evaluated();
-        for (const LookaheadStrategy::CutoffSkip& skip :
-             pruned.last_skips()) {
-          ++total_skips;
-          // The naive reference, so the truth never runs the kernel that
-          // produced the bound.
-          const double truth = pruned.ObjectiveValue(
-              engine.SimulateLabel(skip.class_id, Label::kPositive)
-                  .pruned_tuples,
-              engine.SimulateLabel(skip.class_id, Label::kNegative)
-                  .pruned_tuples);
-          EXPECT_LE(truth, skip.bound)
-              << "unsound bound for class " << skip.class_id << " (seed "
-              << seed << ")";
-          EXPECT_NE(skip.class_id, pick)
-              << "the picked class cannot have been skipped";
-        }
+        const size_t pick = NaiveLookaheadPick(engine, objective);
         const size_t tuple = engine.tuple_class(pick).tuple_indices.front();
         const Label answer =
             oracle.LabelFor(engine.store().DecodeTuple(tuple));
-        ASSERT_TRUE(engine.SubmitClassLabel(pick, answer).ok());
+        InferenceEngine::LabelImpact impact;
+        ASSERT_TRUE(engine.SubmitClassLabel(pick, answer, &impact).ok());
+        reference.emplace_back(pick, tuple, answer, impact.pruned_tuples);
       }
     }
-  }
-  EXPECT_GT(total_evaluated, 0u);
-  // The optimization must actually fire on these workloads, not just stay
-  // sound vacuously.
-  EXPECT_GT(total_skips, 0u) << "cutoff never skipped a candidate";
-}
+    ASSERT_FALSE(reference.empty());
 
-TEST(CutoffParityTest, CutoffDisablesItselfForNonMonotoneObjectives) {
-  const auto workload = MakeWorkload(7);
-  const InferenceEngine engine(workload.instance);
-  // Tsallis α ≤ 0 is not monotone in the pruning counts; the cutoff must
-  // fall back to the exhaustive path (and record no skips).
-  LookaheadStrategy negative_alpha(LookaheadStrategy::Objective::kEntropy,
-                                   /*alpha=*/-0.5);
-  negative_alpha.set_thread_pool(nullptr);
-  LookaheadStrategy reference(LookaheadStrategy::Objective::kEntropy,
-                              /*alpha=*/-0.5);
-  reference.set_thread_pool(nullptr);
-  reference.set_cutoff_enabled(false);
-  EXPECT_EQ(negative_alpha.PickClass(engine), reference.PickClass(engine));
-  EXPECT_TRUE(negative_alpha.last_skips().empty());
-}
-
-TEST(CutoffParityTest, TrailUndoRestoresStateAndLiveList) {
-  const auto workload = MakeWorkload(31, /*tuples=*/120, /*attrs=*/5);
-  const InferenceEngine engine(workload.instance);
-  SpeculativeSession session(engine);
-  session.CheckInvariants();
-
-  const std::string key0 = session.state().CanonicalKey();
-  const std::vector<size_t> live0 = session.LiveClasses();
-  ASSERT_EQ(live0, engine.InformativeClasses());
-
-  // Depth-3 apply/undo walk over a few branches: after every unwind the
-  // state key and the live list must be bit-for-bit the originals.
-  const std::vector<Label> labels = {Label::kPositive, Label::kNegative};
-  size_t branches = 0;
-  for (size_t i = 0; i < std::min<size_t>(live0.size(), 3); ++i) {
-    for (Label first : labels) {
-      session.Apply(live0[i], first);
-      session.CheckInvariants();
-      const std::string key1 = session.state().CanonicalKey();
-      const std::vector<size_t> live1 = session.LiveClasses();
-      EXPECT_LT(live1.size(), live0.size());
-      if (!live1.empty()) {
-        for (Label second : labels) {
-          session.Apply(live1.front(), second);
-          session.CheckInvariants();
-          if (session.num_live() > 0) {
-            session.Apply(session.FirstLive(), Label::kNegative);
-            session.Undo();
-          }
-          session.Undo();
-          EXPECT_EQ(session.state().CanonicalKey(), key1);
-          EXPECT_EQ(session.LiveClasses(), live1);
-          ++branches;
-        }
+    for (size_t threads : {1u, 2u, 8u}) {
+      exec::ThreadPool pool(threads);
+      LookaheadStrategy lookahead(LookaheadStrategy::Objective::kEntropy);
+      lookahead.set_thread_pool(&pool);
+      const SessionResult result =
+          RunSession(workload.instance, workload.goal, lookahead);
+      EXPECT_TRUE(result.identified_goal);
+      Transcript transcript;
+      for (const SessionStep& step : result.steps) {
+        transcript.emplace_back(step.class_id, step.tuple_index, step.label,
+                                step.pruned_tuples);
       }
-      session.Undo();
-      session.CheckInvariants();
-      EXPECT_EQ(session.state().CanonicalKey(), key0);
-      EXPECT_EQ(session.LiveClasses(), live0);
-      EXPECT_EQ(session.depth(), 0u);
+      EXPECT_EQ(transcript, reference)
+          << "seed=" << seed << " threads=" << threads;
     }
-  }
-  EXPECT_GT(branches, 0u);
-}
-
-TEST(CutoffParityTest, SpeculativeSimulateMatchesEngineAtDepthZero) {
-  const auto workload = MakeWorkload(42, /*tuples=*/200);
-  const InferenceEngine engine(workload.instance);
-  SpeculativeSession session(engine);
-  for (size_t c : engine.InformativeClasses()) {
-    const auto expected = engine.SimulateLabelBoth(c);
-    const auto actual = session.SimulateBoth(c);
-    EXPECT_EQ(actual.positive.pruned_classes, expected.positive.pruned_classes);
-    EXPECT_EQ(actual.positive.pruned_tuples, expected.positive.pruned_tuples);
-    EXPECT_EQ(actual.negative.pruned_classes, expected.negative.pruned_classes);
-    EXPECT_EQ(actual.negative.pruned_tuples, expected.negative.pruned_tuples);
-  }
-}
-
-/// The pre-trail minimax, verbatim: full-engine rescan per node, an
-/// InferenceState copy per answer branch. Kept here as the oracle the
-/// trail-based solver must agree with.
-class NaiveMinimaxReference {
- public:
-  explicit NaiveMinimaxReference(const InferenceEngine& engine)
-      : engine_(engine) {}
-
-  size_t Solve(const InferenceState& state) {
-    const std::string key = state.CanonicalKey();
-    auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-    std::vector<size_t> live;
-    for (size_t c = 0; c < engine_.num_classes(); ++c) {
-      if (engine_.class_status(c) != ClassStatus::kInformative) continue;
-      if (state.Classify(engine_.tuple_class(c).partition) ==
-          TupleClassification::kInformative) {
-        live.push_back(c);
-      }
-    }
-    size_t best = live.empty() ? 0 : SIZE_MAX;
-    for (size_t c : live) {
-      size_t worst = 0;
-      for (Label label : {Label::kPositive, Label::kNegative}) {
-        InferenceState next = state;
-        JIM_CHECK_OK(
-            next.ApplyLabel(engine_.tuple_class(c).partition, label));
-        worst = std::max(worst, Solve(next));
-      }
-      best = std::min(best, 1 + worst);
-      if (best == 1) break;
-    }
-    memo_.emplace(key, best);
-    return best;
-  }
-
- private:
-  const InferenceEngine& engine_;
-  std::unordered_map<std::string, size_t> memo_;
-};
-
-TEST(CutoffParityTest, TrailMinimaxMatchesNaiveReference) {
-  // Small instances keep the naive reference tractable.
-  {
-    auto instance = workload::Figure1InstancePtr();
-    const InferenceEngine engine(instance);
-    NaiveMinimaxReference naive(engine);
-    EXPECT_EQ(OptimalWorstCaseQuestions(engine),
-              naive.Solve(engine.state()));
-  }
-  for (uint64_t seed : {1u, 9u}) {
-    util::Rng rng(seed);
-    workload::SyntheticSpec spec;
-    spec.num_attributes = 4;
-    spec.num_tuples = 25;
-    spec.domain_size = 3;
-    spec.goal_constraints = 1;
-    const auto workload = workload::MakeSyntheticWorkload(spec, rng);
-    const InferenceEngine engine(workload.instance);
-    NaiveMinimaxReference naive(engine);
-    EXPECT_EQ(OptimalWorstCaseQuestions(engine), naive.Solve(engine.state()))
-        << "seed=" << seed;
-  }
-}
-
-TEST(CutoffParityTest, OptimalStrategyScoresUnchangedOnFigure1) {
-  // End-to-end: the rewritten solver drives OptimalStrategy::Score; its
-  // per-candidate worst cases must match state-copy recomputation.
-  auto instance = workload::Figure1InstancePtr();
-  const InferenceEngine engine(instance);
-  OptimalStrategy strategy;
-  const std::vector<size_t>& candidates = engine.InformativeClasses();
-  const std::vector<double> scores = strategy.Score(engine, candidates);
-  ASSERT_EQ(scores.size(), candidates.size());
-  NaiveMinimaxReference naive(engine);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    size_t worst = 0;
-    for (Label label : {Label::kPositive, Label::kNegative}) {
-      InferenceState next = engine.state();
-      ASSERT_TRUE(
-          next.ApplyLabel(engine.tuple_class(candidates[i]).partition, label)
-              .ok());
-      worst = std::max(worst, naive.Solve(next));
-    }
-    EXPECT_EQ(scores[i], -static_cast<double>(worst)) << "candidate " << i;
   }
 }
 

@@ -1,17 +1,24 @@
-// Parity tests for the bit-parallel lookahead kernel and the class-level
+// Parity tests for the transposed lookahead kernel and the class-level
 // result check, on instances the benchmark workloads never reach:
 //   - 1, 11, 12 and 14 attributes (0, 55, 66 and 91 attribute pairs: no
 //     pair word at all, a full single word, and two words), with NULL cells
 //     and sessions biased toward negative labels so the forbidden-zone
 //     antichain is non-empty;
+//   - worklists of fewer than 64 classes, exactly 64 and 128, and more than
+//     128 with a partial last word, with class sizes spanning several bits,
+//     before and after negative labels;
 //   - every candidate's kernel result equals two naive SimulateLabel calls,
-//     and the cutoff-pruned pick equals the exhaustive argmax;
+//     and every pick equals the naive argmax — also under the
+//     max_candidates sample, with more than 256 informative classes;
+//   - one PickClass adds exactly one engine.simulate_label_both per scored
+//     candidate and nothing to engine.cutoff_skips;
 //   - InferenceEngine::InstanceEquivalent agrees with the tuple-scanning
 //     InstanceEquivalent(store, …) on equivalent and non-equivalent
 //     predicate pairs.
 
-#include <limits>
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -19,6 +26,10 @@
 #include "core/strategies.h"
 #include "exec/thread_pool.h"
 #include "gtest/gtest.h"
+#include "lattice/enumeration.h"
+#include "naive_lookahead.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
@@ -27,7 +38,7 @@ namespace jim::core {
 namespace {
 
 // Like the other parity suites, run with the invariant auditor on, which
-// also re-derives every lookahead cache bitset from Partition::Pairs().
+// also re-derives every lookahead pair bitset from Partition::Pairs().
 const bool kAuditInvariantsOn = [] {
   ::jim::util::SetAuditInvariants(true);
   return true;
@@ -56,10 +67,84 @@ std::shared_ptr<const rel::Relation> MakeInstanceWithNulls(uint64_t seed,
   return relation;
 }
 
+/// An instance over `attrs` attributes with exactly `classes` tuple
+/// classes, all informative at the start: distinct non-top partitions drawn
+/// at random, each written as one tuple of its block labels and repeated
+/// 1–40 times, so class sizes span several bits.
+std::shared_ptr<const rel::Relation> MakeInstanceWithClasses(uint64_t seed,
+                                                             size_t attrs,
+                                                             size_t classes) {
+  util::Rng rng(seed);
+  workload::SyntheticSpec spec;
+  spec.num_attributes = attrs;
+  spec.num_tuples = 1;
+  const auto schema_source = workload::MakeSyntheticWorkload(spec, rng);
+  std::vector<lat::Partition> partitions = lat::AllPartitions(attrs);
+  partitions.erase(std::remove(partitions.begin(), partitions.end(),
+                               lat::Partition::Top(attrs)),
+                   partitions.end());
+  JIM_CHECK_LE(classes, partitions.size());
+  auto relation = std::make_shared<rel::Relation>(
+      "classes", schema_source.instance->schema());
+  for (size_t k = 0; k < classes; ++k) {
+    const size_t pick = static_cast<size_t>(
+        rng.UniformInt(static_cast<int64_t>(k),
+                       static_cast<int64_t>(partitions.size()) - 1));
+    std::swap(partitions[k], partitions[pick]);
+    rel::Tuple row;
+    for (int label : partitions[k].labels()) row.emplace_back(int64_t{label});
+    for (int64_t copies = rng.UniformInt(1, 40); copies > 0; --copies) {
+      JIM_CHECK_OK(relation->AddRow(row));
+    }
+  }
+  return relation;
+}
+
 std::vector<LookaheadStrategy::Objective> AllObjectives() {
   return {LookaheadStrategy::Objective::kMinMax,
           LookaheadStrategy::Objective::kExpected,
           LookaheadStrategy::Objective::kEntropy};
+}
+
+/// Every informative class's kernel result against two naive SimulateLabel
+/// calls, over one cache prepared for the engine's current worklist.
+void ExpectKernelMatchesNaive(const InferenceEngine& engine,
+                              const std::string& context) {
+  InferenceEngine::LookaheadCache cache;
+  engine.PrepareLookahead(cache);
+  ASSERT_EQ(cache.worklist_size, engine.InformativeClasses().size());
+  for (size_t c : engine.InformativeClasses()) {
+    const InferenceEngine::LabelImpactPair both =
+        engine.SimulateLabelBoth(c, cache);
+    const auto plus = engine.SimulateLabel(c, Label::kPositive);
+    const auto minus = engine.SimulateLabel(c, Label::kNegative);
+    EXPECT_EQ(both.positive.pruned_classes, plus.pruned_classes)
+        << context << " class=" << c;
+    EXPECT_EQ(both.positive.pruned_tuples, plus.pruned_tuples)
+        << context << " class=" << c;
+    EXPECT_EQ(both.negative.pruned_classes, minus.pruned_classes)
+        << context << " class=" << c;
+    EXPECT_EQ(both.negative.pruned_tuples, minus.pruned_tuples)
+        << context << " class=" << c;
+  }
+}
+
+/// Every objective's pick, serial and on two threads, against the naive
+/// argmax over the same `max_candidates` sample.
+void ExpectPicksMatchNaive(const InferenceEngine& engine,
+                           size_t max_candidates,
+                           const std::string& context) {
+  exec::ThreadPool pool(2);
+  for (auto objective : AllObjectives()) {
+    LookaheadStrategy serial(objective, 1.0, max_candidates);
+    serial.set_thread_pool(nullptr);
+    const size_t reference =
+        NaiveLookaheadPick(engine, serial, max_candidates);
+    EXPECT_EQ(serial.PickClass(engine), reference) << context;
+    LookaheadStrategy parallel(objective, 1.0, max_candidates);
+    parallel.set_thread_pool(&pool);
+    EXPECT_EQ(parallel.PickClass(engine), reference) << context;
+  }
 }
 
 TEST(LookaheadKernelParityTest, KernelMatchesNaiveAcrossPairWordCounts) {
@@ -68,48 +153,20 @@ TEST(LookaheadKernelParityTest, KernelMatchesNaiveAcrossPairWordCounts) {
     const size_t pairs = attrs * (attrs - 1) / 2;
     for (uint64_t seed : {1u, 2u}) {
       InferenceEngine engine(MakeInstanceWithNulls(seed, attrs, 120));
-      InferenceEngine::LookaheadBoundsCache bounds;
-      engine.PrepareLookaheadBounds(bounds);
-      EXPECT_EQ(bounds.words, (pairs + 63) / 64) << "attrs=" << attrs;
+      InferenceEngine::LookaheadCache cache;
+      engine.PrepareLookahead(cache);
+      EXPECT_EQ(cache.num_pairs, pairs) << "attrs=" << attrs;
+      EXPECT_EQ(cache.pair_words, (pairs + 63) / 64) << "attrs=" << attrs;
       util::Rng rng(seed * 31 + attrs);
       while (!engine.IsDone()) {
-        engine.PrepareLookaheadBounds(bounds);
-        const bool has_antichain = !engine.state().negatives().empty();
-        const std::vector<size_t> informative = engine.InformativeClasses();
-        for (size_t c : informative) {
-          InferenceEngine::LabelImpactPair both;
-          double unused_bound = 0;
-          ASSERT_TRUE(engine.SimulateLabelBothBounded(
-              c, bounds, nullptr, -std::numeric_limits<double>::infinity(),
-              &both, &unused_bound));
-          const auto plus = engine.SimulateLabel(c, Label::kPositive);
-          const auto minus = engine.SimulateLabel(c, Label::kNegative);
-          EXPECT_EQ(both.positive.pruned_classes, plus.pruned_classes)
-              << "attrs=" << attrs << " class=" << c;
-          EXPECT_EQ(both.positive.pruned_tuples, plus.pruned_tuples)
-              << "attrs=" << attrs << " class=" << c;
-          EXPECT_EQ(both.negative.pruned_classes, minus.pruned_classes)
-              << "attrs=" << attrs << " class=" << c;
-          EXPECT_EQ(both.negative.pruned_tuples, minus.pruned_tuples)
-              << "attrs=" << attrs << " class=" << c;
-          if (has_antichain) ++checked_with_antichain;
+        const std::string context = "attrs=" + std::to_string(attrs);
+        ExpectKernelMatchesNaive(engine, context);
+        if (!engine.state().negatives().empty()) {
+          checked_with_antichain += engine.InformativeClasses().size();
         }
-        for (auto objective : AllObjectives()) {
-          LookaheadStrategy exhaustive(objective);
-          exhaustive.set_thread_pool(nullptr);
-          exhaustive.set_cutoff_enabled(false);
-          const size_t reference = exhaustive.PickClass(engine);
-          LookaheadStrategy serial(objective);
-          serial.set_thread_pool(nullptr);
-          EXPECT_EQ(serial.PickClass(engine), reference) << "attrs=" << attrs;
-          exec::ThreadPool pool(2);
-          LookaheadStrategy parallel(objective);
-          parallel.set_thread_pool(&pool);
-          EXPECT_EQ(parallel.PickClass(engine), reference)
-              << "attrs=" << attrs;
-        }
+        ExpectPicksMatchNaive(engine, 256, context);
         // Two negatives for every positive, so forbidden zones accumulate.
-        const size_t pick = rng.PickOne(informative);
+        const size_t pick = rng.PickOne(engine.InformativeClasses());
         const Label label =
             rng.UniformInt(0, 2) == 0 ? Label::kPositive : Label::kNegative;
         ASSERT_TRUE(engine.SubmitClassLabel(pick, label).ok());
@@ -118,6 +175,77 @@ TEST(LookaheadKernelParityTest, KernelMatchesNaiveAcrossPairWordCounts) {
   }
   EXPECT_GT(checked_with_antichain, 0u)
       << "no candidate was checked against a non-empty antichain";
+}
+
+TEST(LookaheadKernelParityTest, KernelMatchesNaiveAcrossWorklistWidths) {
+  // 7 attributes: 21 pairs in one pair word, and 876 non-top partitions to
+  // draw classes from.
+  for (size_t classes : {40u, 64u, 128u, 150u}) {
+    InferenceEngine engine(MakeInstanceWithClasses(classes, 7, classes));
+    ASSERT_EQ(engine.InformativeClasses().size(), classes);
+    InferenceEngine::LookaheadCache cache;
+    engine.PrepareLookahead(cache);
+    EXPECT_EQ(cache.worklist_words, (classes + 63) / 64);
+    size_t largest = 0;
+    for (size_t c : engine.InformativeClasses()) {
+      largest = std::max(largest, engine.tuple_class(c).size());
+    }
+    EXPECT_GE(largest, 16u) << "class sizes should span several bits";
+    ExpectKernelMatchesNaive(engine, "W=" + std::to_string(classes));
+    // Negative labels grow the antichain and shrink the worklist off the
+    // word boundary.
+    util::Rng rng(classes);
+    for (int step = 0; step < 3 && !engine.IsDone(); ++step) {
+      const size_t pick = rng.PickOne(engine.InformativeClasses());
+      ASSERT_TRUE(engine.SubmitClassLabel(pick, Label::kNegative).ok());
+      ASSERT_FALSE(engine.state().negatives().empty());
+      if (engine.IsDone()) break;
+      const std::string context =
+          "W=" + std::to_string(classes) + " step=" + std::to_string(step);
+      ExpectKernelMatchesNaive(engine, context);
+      ExpectPicksMatchNaive(engine, 256, context);
+    }
+  }
+}
+
+TEST(LookaheadKernelParityTest, SampledPickMatchesNaiveOverMoreThan256Classes) {
+  InferenceEngine engine(MakeInstanceWithClasses(3, 7, 400));
+  ASSERT_EQ(engine.InformativeClasses().size(), 400u);
+  util::Rng rng(3);
+  for (int step = 0; step < 3 && !engine.IsDone(); ++step) {
+    const std::string context = "step=" + std::to_string(step);
+    ExpectPicksMatchNaive(engine, 256, context);
+    ExpectPicksMatchNaive(engine, 100, context);
+    const size_t pick = rng.PickOne(engine.InformativeClasses());
+    ASSERT_TRUE(engine.SubmitClassLabel(pick, Label::kNegative).ok());
+  }
+}
+
+TEST(LookaheadKernelParityTest, PickClassCountsOneSimulationPerScoredCandidate) {
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+  for (size_t classes : {150u, 400u}) {
+    const InferenceEngine engine(MakeInstanceWithClasses(5, 7, classes));
+    ASSERT_EQ(engine.InformativeClasses().size(), classes);
+    for (size_t threads : {1u, 4u}) {
+      exec::ThreadPool pool(threads);
+      LookaheadStrategy lookahead(LookaheadStrategy::Objective::kEntropy);
+      lookahead.set_thread_pool(&pool);
+      const uint64_t simulations_before =
+          registry.CounterValue(obs::kCounterEngineSimulateLabelBoth);
+      const uint64_t skips_before =
+          registry.CounterValue(obs::kCounterEngineCutoffSkips);
+      lookahead.PickClass(engine);
+      EXPECT_EQ(registry.CounterValue(obs::kCounterEngineSimulateLabelBoth) -
+                    simulations_before,
+                std::min<uint64_t>(classes, 256))
+          << "classes=" << classes << " threads=" << threads;
+      EXPECT_EQ(registry.CounterValue(obs::kCounterEngineCutoffSkips),
+                skips_before);
+    }
+  }
+  obs::SetMetricsEnabled(metrics_were_enabled);
 }
 
 TEST(LookaheadKernelParityTest, ClassLevelEquivalenceMatchesTupleScan) {

@@ -9,6 +9,7 @@
 #include "core/jim.h"
 #include "exec/thread_pool.h"
 #include "gtest/gtest.h"
+#include "naive_lookahead.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/rng.h"
@@ -91,26 +92,20 @@ TEST(ParallelParityTest, PickClassIsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelParityTest, CutoffPrunedPickMatchesExhaustiveArgmax) {
-  // PickClass defaults to cutoff pruning (skip candidates whose upper bound
-  // cannot beat the running best); the pick must be the one an exhaustive
-  // Score argmax produces, at every thread count. Deeper cutoff coverage
-  // (bound soundness, transcripts) lives in cutoff_parity_test.cc.
+TEST(ParallelParityTest, PickMatchesNaiveArgmaxAtOneAndFourThreads) {
+  // The pick is the argmax of the naive SimulateLabel scores (ties toward
+  // the smallest index), whether the candidates are scored serially or
+  // fanned out. Session-level coverage lives in cutoff_parity_test.cc.
   for (uint64_t seed : {7u, 21u, 77u}) {
     const auto workload = MakeWorkload(seed);
     const InferenceEngine engine(workload.instance);
 
-    LookaheadStrategy exhaustive(LookaheadStrategy::Objective::kEntropy);
-    exhaustive.set_thread_pool(nullptr);
-    exhaustive.set_cutoff_enabled(false);
-    const size_t reference = exhaustive.PickClass(engine);
-
-    for (size_t threads : {1u, 2u, 8u}) {
+    for (size_t threads : {1u, 4u}) {
       exec::ThreadPool pool(threads);
-      LookaheadStrategy pruned(LookaheadStrategy::Objective::kEntropy);
-      pruned.set_thread_pool(&pool);
-      ASSERT_TRUE(pruned.cutoff_enabled());
-      EXPECT_EQ(pruned.PickClass(engine), reference)
+      LookaheadStrategy lookahead(LookaheadStrategy::Objective::kEntropy);
+      lookahead.set_thread_pool(&pool);
+      EXPECT_EQ(lookahead.PickClass(engine),
+                NaiveLookaheadPick(engine, lookahead))
           << "seed=" << seed << " threads=" << threads;
     }
   }
