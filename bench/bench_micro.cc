@@ -242,14 +242,6 @@ void RegisterAll(std::vector<BenchResult>& results) {
       const auto workload = MakeSynthetic(tuples, seed);
       core::InferenceEngine engine(workload.instance);
       auto strategy = core::MakeStrategy(strategy_name).value();
-      // Pin lookahead to the serial path: these are the historical
-      // cross-commit metrics, and the default pool is sized from the
-      // machine (hardware threads / JIM_THREADS) — the parallel variant is
-      // measured explicitly below, at controlled thread counts.
-      if (auto* lookahead =
-              dynamic_cast<core::LookaheadStrategy*>(strategy.get())) {
-        lookahead->set_thread_pool(nullptr);
-      }
       results.push_back(
           RunBench(name, static_cast<int64_t>(tuples),
                    [&] { DoNotOptimize(strategy->PickClass(engine)); }));
@@ -257,24 +249,6 @@ void RegisterAll(std::vector<BenchResult>& results) {
   };
   strategy_sweep("LookaheadPickClass", "lookahead-entropy", 7);
   strategy_sweep("LocalDecision", "local-bottom-up", 8);
-  // The same 10k-tuple lookahead decision on an explicit exec::ThreadPool at
-  // 1/2/4 threads (arg = thread count; 1 = the serial reference path). The
-  // picked class is bitwise-identical at every count — parallelism only
-  // moves latency — and WriteJson derives lookahead_pick_class_speedup_4t
-  // from the 1- and 4-thread entries.
-  {
-    const auto workload = MakeSynthetic(10000, 7);
-    const core::InferenceEngine engine(workload.instance);
-    for (size_t threads : {1, 2, 4}) {
-      exec::ThreadPool pool(threads);
-      core::LookaheadStrategy strategy(
-          core::LookaheadStrategy::Objective::kEntropy);
-      strategy.set_thread_pool(threads > 1 ? &pool : nullptr);
-      results.push_back(RunBench("LookaheadPickClassParallel",
-                                 static_cast<int64_t>(threads),
-                                 [&] { DoNotOptimize(strategy.PickClass(engine)); }));
-    }
-  }
   // Full minimax solves on instances small enough for the exponential
   // strategy: exercises the memo-table key path hard.
   {
@@ -315,7 +289,7 @@ void RegisterAll(std::vector<BenchResult>& results) {
 /// regressions split into "each simulation got slower" vs "we simulate
 /// more".
 struct WorkCounts {
-  /// SimulateLabelBoth evaluations one serial lookahead-entropy PickClass
+  /// SimulateLabelBoth evaluations one lookahead-entropy PickClass
   /// costs on the 10k instance: one per scored candidate.
   uint64_t simulate_calls_per_pick = 0;
   /// Classes woken (watch-drained and exactly retested) per negative label
@@ -333,7 +307,6 @@ WorkCounts MeasureWorkCounts() {
     const core::InferenceEngine engine(workload.instance);
     core::LookaheadStrategy strategy(
         core::LookaheadStrategy::Objective::kEntropy);
-    strategy.set_thread_pool(nullptr);
     const uint64_t sims_before =
         registry.CounterValue(obs::kCounterEngineSimulateLabelBoth);
     DoNotOptimize(strategy.PickClass(engine));
@@ -344,7 +317,6 @@ WorkCounts MeasureWorkCounts() {
   {
     core::LookaheadStrategy strategy(
         core::LookaheadStrategy::Objective::kEntropy);
-    strategy.set_thread_pool(nullptr);
     const uint64_t wakes_before =
         registry.CounterValue(obs::kCounterEngineWatchWakes);
     const uint64_t negatives_before =
@@ -374,19 +346,6 @@ bool WriteJson(const std::vector<BenchResult>& results,
   json.KeyValue("simulate_label_calls_per_pick", work.simulate_calls_per_pick);
   json.KeyValue("propagate_woken_classes_per_label",
                 work.woken_classes_per_negative_label);
-  // Wall-clock speedup of the 10k-tuple lookahead decision at 4 threads vs
-  // the serial path (values < 1 mean the box lacks the cores to win).
-  double serial_ns = 0;
-  double four_thread_ns = 0;
-  for (const auto& r : results) {
-    if (r.name != "LookaheadPickClassParallel") continue;
-    if (r.arg == 1) serial_ns = r.ns_per_op;
-    if (r.arg == 4) four_thread_ns = r.ns_per_op;
-  }
-  if (serial_ns > 0 && four_thread_ns > 0) {
-    json.KeyValue("lookahead_pick_class_speedup_4t",
-                  serial_ns / four_thread_ns);
-  }
   // Ingest/BuildClasses throughput + the speedup of the code-kernel class
   // construction over the legacy Value-row path (same instance).
   const auto find_ns = [&results](const std::string& name,

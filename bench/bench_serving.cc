@@ -1,20 +1,21 @@
 // Serving-tier benchmark: an in-process daemon (TCP transport, real
-// connection handling) under an open-loop session arrival process, run once
-// per ServingMode. Arrivals fire on a seeded exponential schedule whether or
-// not a worker is free, so queueing delay under saturation shows up in the
-// latencies instead of being absorbed by the load generator (closed-loop
-// coordinated omission). Client workers drive each session create →
-// (suggest → oracle label)* → result → close over its own connection,
-// timing every suggest and label round-trip client-side.
+// connection handling) under an open-loop session arrival process. Arrivals
+// fire on a seeded exponential schedule whether or not a worker is free, so
+// queueing delay under saturation shows up in the latencies instead of being
+// absorbed by the load generator (closed-loop coordinated omission). Client
+// workers drive each session create → (suggest → oracle label)* → result →
+// close over its own connection, timing every suggest and label round-trip
+// client-side.
 //
-// Reported per mode: sessions/sec, labels/sec, and p50/p99 of the create /
-// suggest / label round-trips, as a table and as BENCH_serving.json (meta
-// block + metrics registry snapshot, same shape as the other BENCH_*.json
+// Reported: sessions/sec, labels/sec, and p50/p99 of the create / suggest /
+// label round-trips, as a table and as BENCH_serving.json (meta block +
+// metrics registry snapshot, same shape as the other BENCH_*.json
 // trajectories).
 //
 // --quick drives the 12-tuple Figure 1 instance; the full run drives a
 // LargeTravelInstance cross product where each lookahead decision does real
-// work, separating the two modes' parallelism choices.
+// work. --threads sizes the shared pool the daemon builds its instance's
+// class table on.
 
 #include <algorithm>
 #include <chrono>
@@ -63,7 +64,7 @@ struct BenchConfig {
   bool quick = false;
 };
 
-/// Latency samples (microseconds) for one verb across a whole mode run.
+/// Latency samples (microseconds) for one verb across the whole run.
 struct LatencySeries {
   std::vector<double> micros;
 
@@ -81,8 +82,7 @@ struct LatencySeries {
   }
 };
 
-struct ModeResult {
-  serve::ServingMode mode = serve::ServingMode::kManySessions;
+struct RunResult {
   size_t sessions = 0;
   size_t labels = 0;
   double wall_seconds = 0;
@@ -111,7 +111,7 @@ std::vector<double> ArrivalOffsets(const BenchConfig& config) {
 /// the number of labels submitted.
 size_t DriveSession(serve::Client& client, const BenchConfig& config,
                     uint64_t seed, const util::DynamicBitset& selected,
-                    ModeResult& out) {
+                    RunResult& out) {
   serve::Request create;
   create.verb = "create";
   create.strategy = "lookahead-entropy";
@@ -147,11 +147,10 @@ size_t DriveSession(serve::Client& client, const BenchConfig& config,
   return labels;
 }
 
-ModeResult RunMode(serve::ServingMode mode, const BenchConfig& config,
-                   std::shared_ptr<const core::TupleStore> store,
-                   const util::DynamicBitset& selected) {
+RunResult Run(const BenchConfig& config,
+              std::shared_ptr<const core::TupleStore> store,
+              const util::DynamicBitset& selected) {
   serve::ServeOptions options;
-  options.mode = mode;
   options.max_sessions = config.sessions;  // admission never throttles here
   options.default_instance = "bench";
   serve::SessionManager manager(std::move(options));
@@ -172,8 +171,7 @@ ModeResult RunMode(serve::ServingMode mode, const BenchConfig& config,
   std::deque<size_t> due;  // session indices whose arrival time has passed
   bool arrivals_done = false;
 
-  ModeResult result;
-  result.mode = mode;
+  RunResult result;
 
   util::Stopwatch wall;
   // The arrival clock: releases session i at offsets[i], busy or not.
@@ -197,7 +195,7 @@ ModeResult RunMode(serve::ServingMode mode, const BenchConfig& config,
   });
 
   std::vector<std::thread> workers;
-  std::vector<ModeResult> worker_results(config.workers);
+  std::vector<RunResult> worker_results(config.workers);
   std::vector<size_t> worker_labels(config.workers, 0);
   for (size_t w = 0; w < config.workers; ++w) {
     workers.emplace_back([&, w] {
@@ -235,9 +233,8 @@ ModeResult RunMode(serve::ServingMode mode, const BenchConfig& config,
   return result;
 }
 
-void AppendModeJson(util::JsonWriter& json, ModeResult& r) {
-  json.BeginObject();
-  json.KeyValue("mode", std::string(serve::ServingModeName(r.mode)));
+/// Appends the run's keys to the open top-level object.
+void AppendRunJson(util::JsonWriter& json, RunResult& r) {
   json.KeyValue("sessions", r.sessions);
   json.KeyValue("labels", r.labels);
   json.KeyValue("wall_seconds", r.wall_seconds);
@@ -253,26 +250,21 @@ void AppendModeJson(util::JsonWriter& json, ModeResult& r) {
   json.KeyValue("suggest_p99_us", r.suggest_us.Percentile(0.99));
   json.KeyValue("label_p50_us", r.label_us.Percentile(0.50));
   json.KeyValue("label_p99_us", r.label_us.Percentile(0.99));
-  json.EndObject();
 }
 
-bool WriteJson(std::vector<ModeResult>& results, const BenchConfig& config,
+bool WriteJson(RunResult& result, const BenchConfig& config,
                const std::string& path) {
   util::JsonWriter json;
   json.BeginObject();
   json.KeyValue("benchmark", "serving");
   bench::AppendMetaBlock(json);
   json.KeyValue("quick", config.quick);
-  json.KeyValue("sessions", config.sessions);
   json.KeyValue("workers", config.workers);
   json.KeyValue("max_labels_per_session", config.max_labels);
   json.KeyValue("mean_interarrival_us",
                 config.mean_interarrival_seconds * 1e6);
   json.KeyValue("seed", config.seed);
-  json.Key("modes");
-  json.BeginArray();
-  for (ModeResult& r : results) AppendModeJson(json, r);
-  json.EndArray();
+  AppendRunJson(json, result);
   bench::AppendMetricsSnapshot(json);
   json.EndObject();
   std::ofstream out(path);
@@ -284,8 +276,7 @@ bool WriteJson(std::vector<ModeResult>& results, const BenchConfig& config,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const size_t threads = bench::ParseThreadsFlag(argc, argv);
-  (void)threads;  // sizes exec::SharedPool(), the kFewSessions fan-out
+  bench::ParseThreadsFlag(argc, argv);
   BenchConfig config;
   std::string json_path = "BENCH_serving.json";
   for (int i = 1; i < argc; ++i) {
@@ -325,34 +316,26 @@ int main(int argc, char** argv) {
       core::JoinPredicate::Parse(store->schema(), workload::kQ2).value();
   const util::DynamicBitset selected = goal.SelectedRows(*store);
 
-  std::vector<ModeResult> results;
-  for (serve::ServingMode mode : {serve::ServingMode::kManySessions,
-                                  serve::ServingMode::kFewSessions}) {
-    results.push_back(RunMode(mode, config, store, selected));
-  }
+  RunResult result = Run(config, store, selected);
 
-  jim::util::TablePrinter table({"mode", "sessions/s", "labels/s",
-                                 "suggest p50 µs", "suggest p99 µs",
-                                 "label p50 µs", "label p99 µs"});
-  table.SetAlignments({jim::util::Align::kLeft, jim::util::Align::kRight,
+  jim::util::TablePrinter table({"sessions/s", "labels/s", "suggest p50 µs",
+                                 "suggest p99 µs", "label p50 µs",
+                                 "label p99 µs"});
+  table.SetAlignments({jim::util::Align::kRight, jim::util::Align::kRight,
                        jim::util::Align::kRight, jim::util::Align::kRight,
-                       jim::util::Align::kRight, jim::util::Align::kRight,
-                       jim::util::Align::kRight});
-  for (ModeResult& r : results) {
-    table.AddRow(
-        {std::string(serve::ServingModeName(r.mode)),
-         util::StrFormat("%.1f", static_cast<double>(r.sessions) /
-                                     std::max(r.wall_seconds, 1e-9)),
-         util::StrFormat("%.1f", static_cast<double>(r.labels) /
-                                     std::max(r.wall_seconds, 1e-9)),
-         util::StrFormat("%.1f", r.suggest_us.Percentile(0.50)),
-         util::StrFormat("%.1f", r.suggest_us.Percentile(0.99)),
-         util::StrFormat("%.1f", r.label_us.Percentile(0.50)),
-         util::StrFormat("%.1f", r.label_us.Percentile(0.99))});
-  }
+                       jim::util::Align::kRight, jim::util::Align::kRight});
+  table.AddRow(
+      {util::StrFormat("%.1f", static_cast<double>(result.sessions) /
+                                   std::max(result.wall_seconds, 1e-9)),
+       util::StrFormat("%.1f", static_cast<double>(result.labels) /
+                                   std::max(result.wall_seconds, 1e-9)),
+       util::StrFormat("%.1f", result.suggest_us.Percentile(0.50)),
+       util::StrFormat("%.1f", result.suggest_us.Percentile(0.99)),
+       util::StrFormat("%.1f", result.label_us.Percentile(0.50)),
+       util::StrFormat("%.1f", result.label_us.Percentile(0.99))});
   std::cout << table.ToString();
 
-  if (!WriteJson(results, config, json_path)) {
+  if (!WriteJson(result, config, json_path)) {
     std::cerr << "bench_serving: failed to write " << json_path << "\n";
     return 1;
   }

@@ -63,7 +63,7 @@ inline void AppendMetricsSnapshot(util::JsonWriter& json) {
 /// Shared `--threads N` parsing for the parallel benches. Consumes the flag
 /// (and its value) out of argc/argv so each bench can parse its remaining
 /// flags afterwards, installs the count as the process-wide default
-/// (exec::SetDefaultThreads — the shared lookahead pool is sized from it),
+/// (exec::SetDefaultThreads — exec::SharedPool() is sized from it),
 /// and returns the resolved parallelism. Without the flag this falls back
 /// to JIM_THREADS, then to the hardware thread count (see
 /// exec::DefaultThreads). Exits with a usage error on a malformed value.

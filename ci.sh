@@ -37,6 +37,9 @@
 #                        CheckInvariants contract
 #   - clang-tidy stage   advisory, opt-in via JIM_RUN_CLANG_TIDY=1
 #
+# Every stage selects its suites through run_ctest, which fails when an
+# alternative of the stage's -R regex matches no built test.
+#
 # Sanitizer stages probe the toolchain first (compile-and-link of a trivial
 # program under the flag) and auto-skip with a loud warning when the
 # runtime is missing — JIM_SKIP_TSAN/ASAN/UBSAN/CRASH/AUDIT=1 still
@@ -62,6 +65,30 @@ sanitizer_available() {
 
 warn_skip() {
   echo "WARNING: $1 — skipping the $2 stage" >&2
+}
+
+# run_ctest DIR REGEX [VAR=value ...]: runs the tests built in DIR whose
+# names match REGEX, with the given environment. First checks that every
+# |-separated alternative of REGEX matches at least one test there
+# (`ctest -N`), and fails naming each one that does not: an alternative
+# naming a deleted or renamed suite would otherwise go silently dead, the
+# same rot the tsan.supp stale-suppression guard catches.
+run_ctest() {
+  local dir="$1" regex="$2" alternative count dead=0
+  shift 2
+  local -a alternatives
+  IFS='|' read -ra alternatives <<< "$regex"
+  for alternative in "${alternatives[@]}"; do
+    count="$(cd "$dir" && ctest -N -R "$alternative" | \
+      sed -n 's/^Total Tests: //p')"
+    if [[ "${count:-0}" == "0" ]]; then
+      echo "ERROR: ctest -R alternative '$alternative' matches no test in" \
+        "$dir — drop it or follow its suite's rename" >&2
+      dead=1
+    fi
+  done
+  [[ "$dead" == "0" ]] || exit 1
+  (cd "$dir" && env "$@" ctest --output-on-failure -j"$(nproc)" -R "$regex")
 }
 
 # --- tier-1: full build + full suite -------------------------------------
@@ -97,8 +124,8 @@ diff "$smokedir/saved.txt" "$smokedir/loaded.txt"
 # The contract src/obs/ ships under: metrics and tracing observe a session,
 # they never steer it. Three proofs, all against the tier-1 build:
 #   1. the parity suites pass again with the metrics registry hot
-#      (JIM_METRICS=1) — transcripts still bitwise-identical at 1/2/8
-#      threads;
+#      (JIM_METRICS=1) — picks and transcripts still equal the naive
+#      references;
 #   2. a jim_cli run with --metrics-out and --trace produces stdout
 #      byte-identical to the plain run (all observability output goes to
 #      stderr or the snapshot file);
@@ -109,8 +136,9 @@ diff "$smokedir/saved.txt" "$smokedir/loaded.txt"
 if [[ "${JIM_SKIP_OBS:-0}" == "1" ]]; then
   warn_skip "JIM_SKIP_OBS=1" "OBS"
 else
-  (cd build && JIM_METRICS=1 ctest --output-on-failure -j"$(nproc)" \
-    -R 'ParallelParity|CutoffParity|Speculation|EncodedParity|IncrementalParity|MappedParity|KernelParity|FactorizedParity')
+  run_ctest build \
+    'LookaheadParity|Speculation|EncodedParity|IncrementalParity|MappedParity|KernelParity|FactorizedParity' \
+    JIM_METRICS=1
   ./build/jim_cli infer --load-instance="$smokedir/flights.jimc" --auto \
     --goal="To=City && Airline=Discount" \
     --metrics-out="$smokedir/metrics.json" --trace \
@@ -156,10 +184,9 @@ else
     -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j --target \
     exec_thread_pool_test exec_batch_runner_test \
-    core_parallel_parity_test core_cutoff_parity_test core_speculation_test \
+    core_lookahead_parity_test core_speculation_test \
     core_engine_cow_test core_encoded_parity_test relational_dictionary_test \
-    core_tuple_store_test storage_sharded_store_test query_query_test \
-    obs_metrics_test
+    core_tuple_store_test query_query_test obs_metrics_test
   # Stale-suppression guard: every race: pattern in tsan.supp must still
   # match a symbol some instrumented test binary references (nm -C), or the
   # suppression is dead weight hiding future real races — remove it.
@@ -173,10 +200,9 @@ else
       exit 1
     fi
   done
-  (cd build-tsan && \
-    TSAN_OPTIONS="suppressions=$(pwd)/../tsan.supp ${TSAN_OPTIONS:-}" \
-    ctest --output-on-failure -j"$(nproc)" \
-    -R 'ThreadPool|BatchSessionRunner|ParallelParity|CutoffParity|Speculation|EngineCow|EncodedParity|ParallelEncode|ParallelIngest|ParallelScan|UniversalTable|Catalog|MetricsTest')
+  run_ctest build-tsan \
+    'ThreadPool|BatchSessionRunner|LookaheadParity|Speculation|EngineCow|EncodedParity|ParallelEncode|ParallelIngest|UniversalTable|Catalog|MetricsTest' \
+    TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp ${TSAN_OPTIONS:-}"
 fi
 
 # --- ASAN stage ----------------------------------------------------------
@@ -191,11 +217,10 @@ else
   cmake --build build-asan -j --target \
     relational_dictionary_test core_tuple_store_test \
     query_factorized_parity_test core_encoded_parity_test query_query_test \
-    core_engine_cow_test core_cutoff_parity_test core_speculation_test \
-    storage_jimc_format_test storage_sharded_store_test \
-    storage_mapped_parity_test storage_snapshot_test
-  (cd build-asan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|CutoffParity|Speculation|UniversalTable|EngineCow|Jimc|MappedParity|Snapshot|ParallelEncode')
+    core_engine_cow_test core_lookahead_parity_test core_speculation_test \
+    storage_jimc_format_test storage_mapped_parity_test storage_snapshot_test
+  run_ctest build-asan \
+    'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|LookaheadParity|Speculation|UniversalTable|EngineCow|Jimc|MappedParity|Snapshot|ParallelEncode'
 fi
 
 # --- UBSAN stage (address+undefined, findings fatal) ---------------------
@@ -214,9 +239,9 @@ else
     core_tuple_store_test core_invariant_audit_test \
     relational_dictionary_test storage_jimc_format_test \
     storage_byte_reader_test storage_mapped_parity_test \
-    storage_sharded_store_test storage_snapshot_test fuzz_jimc_main
-  (cd build-ubsan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Partition|Antichain|KernelParity|Enumeration|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|Sharded|Snapshot|InvariantAudit|fuzz_jimc_smoke')
+    storage_snapshot_test fuzz_jimc_main
+  run_ctest build-ubsan \
+    'Partition|Antichain|KernelParity|BellNumber|Refinements|Covers|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|Snapshot|InvariantAudit|fuzz_jimc_smoke'
   # The deterministic fuzz driver, long run: 5000 mutated JIMC images and
   # goal strings, every outcome a typed Status, under ASAN+UBSAN with
   # findings fatal. Reproduce any failure with the printed seed.
@@ -237,8 +262,7 @@ else
     -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j --target \
     storage_fault_env_test storage_crash_recovery_test
-  (cd build-asan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'FaultEnv|PosixEnv|CrashRecovery')
+  run_ctest build-asan 'FaultEnv|PosixEnv|CrashRecovery'
 fi
 
 # --- SERVE stage (serving daemon under ASAN + stdio smoke) ---------------
@@ -259,8 +283,7 @@ else
     serve_protocol_test serve_session_manager_test \
     serve_checkpoint_crash_test serve_server_e2e_test \
     util_json_reader_test storage_trusted_reopen_test
-  (cd build-asan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Protocol|SessionManager|Serve|JsonReader|TrustedReopen')
+  run_ctest build-asan 'Protocol|SessionManager|Serve|JsonReader|TrustedReopen'
   # stdio smoke against the tier-1 build: one piped daemon run must answer
   # ping/stats and exit cleanly on the shutdown verb.
   printf '%s\n' '{"verb":"ping"}' '{"verb":"stats"}' '{"verb":"shutdown"}' | \
@@ -279,15 +302,14 @@ else
   cmake -B build-audit -S . -DJIM_AUDIT_INVARIANTS=ON -DJIM_WERROR=ON \
     -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
   cmake --build build-audit -j --target \
-    core_invariant_audit_test core_parallel_parity_test \
-    core_cutoff_parity_test core_speculation_test core_encoded_parity_test \
+    core_invariant_audit_test core_lookahead_parity_test \
+    core_speculation_test core_encoded_parity_test \
     core_incremental_parity_test lattice_kernel_parity_test \
     core_lookahead_kernel_parity_test \
     query_factorized_parity_test storage_mapped_parity_test \
     core_engine_cow_test core_label_verdict_parity_test
-  (cd build-audit && JIM_AUDIT_INVARIANTS=1 \
-    ctest --output-on-failure -j"$(nproc)" \
-    -R 'Parity|Speculation|InvariantAudit|EngineCow')
+  run_ctest build-audit 'Parity|Speculation|InvariantAudit|EngineCow' \
+    JIM_AUDIT_INVARIANTS=1
 fi
 
 # --- clang-tidy stage (advisory, opt-in) ---------------------------------

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "core/speculation.h"
-#include "exec/parallel.h"
 #include "util/logging.h"
 
 namespace jim::core {
@@ -157,21 +156,13 @@ std::vector<double> LookaheadStrategy::Score(
   std::vector<double> scores(n, -std::numeric_limits<double>::infinity());
   InferenceEngine::LookaheadCache cache;
   engine.PrepareLookahead(cache);
-  // Sampled candidate j → slot j*n/cap, strictly increasing in j, so every
-  // chunk writes disjoint slots; the kernel reads only the engine and the
-  // shared cache, and Aggregate is pure.
-  const auto evaluate = [&](size_t j, size_t /*chunk*/) {
+  // Sampled candidate j lands on worklist slot j*n/cap.
+  for (size_t j = 0; j < cap; ++j) {
     const size_t i = j * n / cap;
     const InferenceEngine::LabelImpactPair both =
         engine.SimulateLabelBoth(candidates[i], cache);
     scores[i] =
         Aggregate(both.positive.pruned_tuples, both.negative.pruned_tuples);
-  };
-  exec::ThreadPool* pool = use_shared_pool_ ? &exec::SharedPool() : pool_;
-  if (pool != nullptr && pool->threads() > 1 && cap > 1) {
-    pool->ParallelFor(cap, evaluate);
-  } else {
-    for (size_t j = 0; j < cap; ++j) evaluate(j, 0);
   }
   return scores;
 }

@@ -1,13 +1,13 @@
 #ifndef JIM_CORE_STRATEGIES_H_
 #define JIM_CORE_STRATEGIES_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/engine.h"
-#include "exec/thread_pool.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -82,15 +82,13 @@ class LocalStrategy : public Strategy {
 /// deterministic sample keeps huge instances interactive), 0 = unlimited.
 ///
 /// Each decision prepares the engine's LookaheadCache once — the per-pair
-/// worklist bitsets — and scores every sampled candidate exactly with
-/// InferenceEngine::SimulateLabelBoth over it: per worklist word, a few
+/// worklist bitsets — and scores every sampled candidate exactly, serially,
+/// with InferenceEngine::SimulateLabelBoth over it: per worklist word, a few
 /// word-wide ORs and ANDs per attribute pair. There is no cutoff; the pick
 /// is Strategy::PickClass's argmax over Score (ties toward the smallest
-/// index). Scoring is embarrassingly parallel — the kernel reads only the
-/// engine and the shared cache — and runs on a thread pool
-/// (exec::SharedPool() by default). The parallel path is bitwise-identical
-/// at any thread count: each candidate's score lands in its slot of a
-/// pre-sized vector.
+/// index). A candidate costs well under a microsecond, so one pick is not
+/// worth splitting across cores; the daemon gets its throughput from
+/// serving many sessions at once.
 class LookaheadStrategy : public Strategy {
  public:
   enum class Objective { kMinMax, kExpected, kEntropy };
@@ -101,13 +99,10 @@ class LookaheadStrategy : public Strategy {
   std::vector<double> Score(const InferenceEngine& engine,
                             const std::vector<size_t>& candidates) override;
 
-  /// Scores candidates on `pool` instead of the process-wide default;
-  /// nullptr forces the serial reference path. The pool is not owned and
-  /// must outlive the strategy's last Score call.
-  void set_thread_pool(exec::ThreadPool* pool) {
-    pool_ = pool;
-    use_shared_pool_ = false;
-  }
+  /// Accepts only nullptr: scoring is always serial. Kept so the frozen
+  /// benchmark's two `set_thread_pool(nullptr)` calls still compile; delete
+  /// it together with those calls at the next benchmark change.
+  void set_thread_pool(std::nullptr_t) {}
 
   /// The aggregate objective itself, exposed so tests can rebuild the
   /// argmax from naive SimulateLabel counts.
@@ -124,8 +119,6 @@ class LookaheadStrategy : public Strategy {
   double alpha_;
   size_t max_candidates_;
   std::string name_;
-  exec::ThreadPool* pool_ = nullptr;  ///< not owned (see set_thread_pool)
-  bool use_shared_pool_ = true;
 };
 
 /// Exact minimax strategy: explores the full game tree of (question, answer)

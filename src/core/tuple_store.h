@@ -126,7 +126,7 @@ class RelationTupleStore final : public TupleStore {
 ///     codes.
 /// O(N·n) decodes + hashing — test/audit-mode cost, not a hot path. The
 /// parity and storage suites run it over every backend (relation-backed,
-/// factorized, mapped, sharded).
+/// factorized, mapped).
 void CheckStoreInvariants(const TupleStore& store);
 
 /// Wraps `relation` into a RelationTupleStore (large relations encode on

@@ -27,8 +27,9 @@ size_t DefaultThreads();
 void SetDefaultThreads(size_t n);
 
 /// The lazily created process-wide pool, sized to DefaultThreads() at first
-/// use. This is what LookaheadStrategy scores candidates on by default.
-/// Never destroyed before exit; safe to use from any thread. Callers that
+/// use. It serves class building (InferenceEngine's constructor) and ingest
+/// (RelationTupleStore and Catalog encoding of large relations); lookahead
+/// scoring is serial. Never destroyed before exit; safe to use from any thread. Callers that
 /// need a specific thread count (benches, parity tests) construct their own
 /// ThreadPool instead.
 ThreadPool& SharedPool();

@@ -77,7 +77,16 @@ void Server::HandleConnection(uint64_t connection_id,
   bool shutdown_requested = false;
   while (!shutdown_requested) {
     util::StatusOr<std::string> line = connection->ReadLine();
-    if (!line.ok()) break;
+    if (!line.ok()) {
+      // An oversized line gets its typed error before the close; the rest
+      // of that line is never read, so the connection cannot continue.
+      if (line.status().code() == util::StatusCode::kInvalidArgument) {
+        JIM_COUNT(obs::kCounterServeRequests);
+        JIM_COUNT(obs::kCounterServeRequestErrors);
+        (void)connection->WriteLine(ErrorLine(line.status()));
+      }
+      break;
+    }
     if (line.value().empty()) continue;  // blank lines between requests
     std::string response = HandleLine(line.value(), &shutdown_requested);
     if (!connection->WriteLine(response).ok()) break;
@@ -124,7 +133,6 @@ std::string Server::HandleLine(const std::string& line,
       json.KeyValue("recovered", static_cast<int64_t>(stats.recovered));
       json.KeyValue("closed", static_cast<int64_t>(stats.closed));
       json.KeyValue("rejected", static_cast<int64_t>(stats.rejected));
-      json.KeyValue("mode", ServingModeName(manager_->options().mode));
     });
   } else if (verb == "create") {
     auto created = manager_->Create(request.instance, request.strategy,

@@ -46,12 +46,19 @@ class TcpConnection final : public Connection {
 
   util::StatusOr<std::string> ReadLine() override {
     while (true) {
-      size_t newline = buffer_.find('\n');
+      // Only bytes appended since the last scan can hold the terminator.
+      const size_t newline = buffer_.find('\n', scanned_);
       if (newline != std::string::npos) {
         std::string line = buffer_.substr(0, newline);
         buffer_.erase(0, newline + 1);
+        scanned_ = 0;
         if (!line.empty() && line.back() == '\r') line.pop_back();
         return line;
+      }
+      scanned_ = buffer_.size();
+      if (buffer_.size() > kMaxRequestLineBytes) {
+        return util::InvalidArgumentError(util::StrFormat(
+            "request line exceeds %zu bytes", kMaxRequestLineBytes));
       }
       char chunk[4096];
       ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -98,6 +105,7 @@ class TcpConnection final : public Connection {
  private:
   int fd_;
   std::string buffer_;
+  size_t scanned_ = 0;  ///< buffer_[0, scanned_) holds no '\n'
   std::atomic<bool> shutdown_{false};
 };
 

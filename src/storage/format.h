@@ -39,8 +39,9 @@ namespace jim::storage {
 /// any two columns is exactly strict Value equality (NaN occurrences keep
 /// their distinct codes; NULL is the kNullCode sentinel and never equal).
 /// The per-column dictionary pages exist so a reader can decode lazily with
-/// column locality, and their shared-code remap column is what lets
-/// ShardedTupleStore splice several files' code spaces into one.
+/// column locality; their shared-code remap column is how the reader finds
+/// a shared code's value record (MappedTupleStore indexes each record by
+/// the shared code its entry names).
 inline constexpr uint32_t kMagic = 0x434D494Au;  // "JIMC" little-endian
 inline constexpr uint32_t kFormatVersion = 1;
 inline constexpr size_t kHeaderBytes = 48;

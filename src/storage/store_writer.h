@@ -1,7 +1,6 @@
 #ifndef JIM_STORAGE_STORE_WRITER_H_
 #define JIM_STORAGE_STORE_WRITER_H_
 
-#include <cstddef>
 #include <string>
 
 #include "core/tuple_store.h"
@@ -12,11 +11,6 @@ namespace jim::storage {
 
 /// Options for WriteStore.
 struct StoreWriterOptions {
-  /// First tuple of the slice to persist.
-  size_t first_tuple = 0;
-  /// Tuple count of the slice; SIZE_MAX means "to the end". Slices are how a
-  /// store gets split into the per-shard files a ShardedTupleStore reopens.
-  size_t num_tuples = static_cast<size_t>(-1);
   /// Overrides the persisted store name (empty keeps store.name()).
   std::string name;
   /// Filesystem to write through (nullptr → DefaultEnv()).

@@ -24,7 +24,6 @@
 #include "core/engine.h"
 #include "core/join_predicate.h"
 #include "core/strategies.h"
-#include "exec/thread_pool.h"
 #include "gtest/gtest.h"
 #include "lattice/enumeration.h"
 #include "naive_lookahead.h"
@@ -129,21 +128,16 @@ void ExpectKernelMatchesNaive(const InferenceEngine& engine,
   }
 }
 
-/// Every objective's pick, serial and on two threads, against the naive
-/// argmax over the same `max_candidates` sample.
+/// Every objective's pick against the naive argmax over the same
+/// `max_candidates` sample.
 void ExpectPicksMatchNaive(const InferenceEngine& engine,
                            size_t max_candidates,
                            const std::string& context) {
-  exec::ThreadPool pool(2);
   for (auto objective : AllObjectives()) {
-    LookaheadStrategy serial(objective, 1.0, max_candidates);
-    serial.set_thread_pool(nullptr);
-    const size_t reference =
-        NaiveLookaheadPick(engine, serial, max_candidates);
-    EXPECT_EQ(serial.PickClass(engine), reference) << context;
-    LookaheadStrategy parallel(objective, 1.0, max_candidates);
-    parallel.set_thread_pool(&pool);
-    EXPECT_EQ(parallel.PickClass(engine), reference) << context;
+    LookaheadStrategy lookahead(objective, 1.0, max_candidates);
+    EXPECT_EQ(lookahead.PickClass(engine),
+              NaiveLookaheadPick(engine, lookahead, max_candidates))
+        << context;
   }
 }
 
@@ -228,22 +222,18 @@ TEST(LookaheadKernelParityTest, PickClassCountsOneSimulationPerScoredCandidate) 
   for (size_t classes : {150u, 400u}) {
     const InferenceEngine engine(MakeInstanceWithClasses(5, 7, classes));
     ASSERT_EQ(engine.InformativeClasses().size(), classes);
-    for (size_t threads : {1u, 4u}) {
-      exec::ThreadPool pool(threads);
-      LookaheadStrategy lookahead(LookaheadStrategy::Objective::kEntropy);
-      lookahead.set_thread_pool(&pool);
-      const uint64_t simulations_before =
-          registry.CounterValue(obs::kCounterEngineSimulateLabelBoth);
-      const uint64_t skips_before =
-          registry.CounterValue(obs::kCounterEngineCutoffSkips);
-      lookahead.PickClass(engine);
-      EXPECT_EQ(registry.CounterValue(obs::kCounterEngineSimulateLabelBoth) -
-                    simulations_before,
-                std::min<uint64_t>(classes, 256))
-          << "classes=" << classes << " threads=" << threads;
-      EXPECT_EQ(registry.CounterValue(obs::kCounterEngineCutoffSkips),
-                skips_before);
-    }
+    LookaheadStrategy lookahead(LookaheadStrategy::Objective::kEntropy);
+    const uint64_t simulations_before =
+        registry.CounterValue(obs::kCounterEngineSimulateLabelBoth);
+    const uint64_t skips_before =
+        registry.CounterValue(obs::kCounterEngineCutoffSkips);
+    lookahead.PickClass(engine);
+    EXPECT_EQ(registry.CounterValue(obs::kCounterEngineSimulateLabelBoth) -
+                  simulations_before,
+              std::min<uint64_t>(classes, 256))
+        << "classes=" << classes;
+    EXPECT_EQ(registry.CounterValue(obs::kCounterEngineCutoffSkips),
+              skips_before);
   }
   obs::SetMetricsEnabled(metrics_were_enabled);
 }

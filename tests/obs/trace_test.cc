@@ -130,10 +130,6 @@ TEST(SessionTracerTest, SimulateCountsFollowTheMetricsToggle) {
   // metrics on, the per-step counter delta shows up in the trace.
   const auto run_lookahead = [&workload](SessionTracer& tracer) {
     auto strategy = core::MakeStrategy("lookahead-entropy").value();
-    if (auto* lookahead =
-            dynamic_cast<core::LookaheadStrategy*>(strategy.get())) {
-      lookahead->set_thread_pool(nullptr);
-    }
     core::ExactOracle oracle(workload.goal);
     core::SessionOptions options;
     options.tracer = &tracer;

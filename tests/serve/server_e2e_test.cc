@@ -12,9 +12,13 @@
 //      clients drive their sessions to completion and every remaining
 //      response line — suggest, label, result — must be byte-identical to
 //      the reference transcript from the step where the kill landed.
-// Both serving modes run the same protocol. Responses carry no session id,
-// which is what makes transcripts diffable across daemons with different
-// id mints.
+// Responses carry no session id, which is what makes transcripts diffable
+// across daemons with different id mints.
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <memory>
@@ -125,17 +129,14 @@ std::vector<std::string> ReferenceTranscript(Server& server,
   return lines;
 }
 
-void RunModeE2E(ServingMode mode) {
+TEST(ServerE2ETest, ManySessionsModeSurvivesDaemonRestart) {
   const Oracle oracle;
-  const std::string tag =
-      std::string(ServingModeName(mode));
+  const std::string tag = "restart";
 
   // Phase 0: reference transcripts from an uninterrupted daemon.
   std::vector<std::vector<std::string>> reference(kSessions);
   {
-    ServeOptions options;
-    options.mode = mode;
-    auto manager = MakeManager(std::move(options));
+    auto manager = MakeManager(ServeOptions{});
     Server server(manager.get(), ListenTcp(0).value());
     for (size_t i = 0; i < kSessions; ++i) {
       reference[i] = ReferenceTranscript(server, oracle, i);
@@ -156,7 +157,6 @@ void RunModeE2E(ServingMode mode) {
   // daemon dies with every session mid-stream.
   {
     ServeOptions options;
-    options.mode = mode;
     options.checkpoint_dir = checkpoint_dir;
     auto manager = MakeManager(std::move(options));
     ServerOptions server_options;
@@ -200,7 +200,6 @@ void RunModeE2E(ServingMode mode) {
   // sessions; every remaining line must equal the reference's.
   {
     ServeOptions options;
-    options.mode = mode;
     options.checkpoint_dir = checkpoint_dir;
     auto manager = MakeManager(std::move(options));
     ASSERT_TRUE(manager->RecoverSessions().ok());
@@ -246,14 +245,6 @@ void RunModeE2E(ServingMode mode) {
   }
 }
 
-TEST(ServerE2ETest, ManySessionsModeSurvivesDaemonRestart) {
-  RunModeE2E(ServingMode::kManySessions);
-}
-
-TEST(ServerE2ETest, FewSessionsModeSurvivesDaemonRestart) {
-  RunModeE2E(ServingMode::kFewSessions);
-}
-
 TEST(ServerE2ETest, ShutdownVerbStopsTheDaemon) {
   auto manager = MakeManager(ServeOptions{});
   Server server(manager.get(), ListenTcp(0).value());
@@ -285,6 +276,58 @@ TEST(ServerE2ETest, MalformedAndUnknownRequestsFailTyped) {
   EXPECT_EQ(unknown_session.status().code(), util::StatusCode::kNotFound);
   // The connection survives every error.
   EXPECT_TRUE(client->Call(R"({"verb":"ping"})").ok());
+  server.Shutdown();
+}
+
+/// A raw localhost socket, so the test can send bytes with no '\n' — the
+/// Client always terminates its lines.
+int ConnectRaw(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(port);
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                      sizeof(address)),
+            0);
+  return fd;
+}
+
+TEST(ServerE2ETest, OversizedRequestLineFailsTypedAndClosesOnlyThatConnection) {
+  auto manager = MakeManager(ServeOptions{});
+  Server server(manager.get(), ListenTcp(0).value());
+  server.Start();
+  const uint16_t port = PortOfAddress(server.address()).value();
+  auto bystander = Client::ConnectTcp(port);
+  ASSERT_TRUE(bystander.ok()) << bystander.status();
+
+  // 2 MiB with no newline. The daemon stops reading past the cap and
+  // closes, so the tail of the send may fail; that is expected.
+  const int fd = ConnectRaw(port);
+  const std::string flood(2 * kMaxRequestLineBytes, 'x');
+  size_t sent = 0;
+  while (sent < flood.size()) {
+    const ssize_t n = ::send(fd, flood.data() + sent, flood.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+  EXPECT_GT(sent, kMaxRequestLineBytes);
+  std::string response;
+  char byte = 0;
+  while (::recv(fd, &byte, 1, 0) == 1 && byte != '\n') response += byte;
+  ::close(fd);
+  auto parsed = util::ParseJson(response);
+  ASSERT_TRUE(parsed.ok()) << "response: " << response;
+  EXPECT_FALSE(parsed->GetBool("ok", true));
+  EXPECT_EQ(parsed->GetString("error", ""), "INVALID_ARGUMENT");
+
+  // The daemon still serves an open connection and a new one.
+  EXPECT_TRUE(bystander->Call(R"({"verb":"ping"})").ok());
+  auto fresh = Client::ConnectTcp(port);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_TRUE(fresh->Call(R"({"verb":"ping"})").ok());
   server.Shutdown();
 }
 

@@ -1,10 +1,10 @@
 // SessionManager contract tests: session lifecycle against the paper's
 // Figure 1 oracle, admission control (live-session cap, per-session step
-// cap, typed RESOURCE_EXHAUSTED), contradiction rejection, serving-mode
-// transcript parity, suggest idempotence (polling never advances a
-// strategy's RNG), checkpoint/recovery determinism — a recovered
-// manager's future picks equal the uninterrupted manager's, including for
-// RNG-bearing strategies — and the in-place label path: one copy-on-write
+// cap, typed RESOURCE_EXHAUSTED), contradiction rejection, suggest
+// idempotence (polling never advances a strategy's RNG),
+// checkpoint/recovery determinism — a recovered manager's future picks
+// equal the uninterrupted manager's, including for RNG-bearing
+// strategies — and the in-place label path: one copy-on-write
 // detach per session, and a failed checkpoint write that leaves the session
 // exactly at its durable transcript.
 
@@ -218,46 +218,6 @@ TEST(SessionManagerTest, SuggestIsIdempotentUntilTheNextLabel) {
     ASSERT_TRUE(
         manager->Label(created->session_id, first->class_id, false).ok());
   }
-}
-
-TEST(SessionManagerTest, ServingModesProduceIdenticalPicks) {
-  // kManySessions (serial lookahead) and kFewSessions (pool fan-out) must
-  // pick identically — mode is a performance knob, not a policy change.
-  std::vector<size_t> picks_by_mode[2];
-  const ServingMode modes[2] = {ServingMode::kManySessions,
-                                ServingMode::kFewSessions};
-  for (int m = 0; m < 2; ++m) {
-    ServeOptions options;
-    options.mode = modes[m];
-    auto manager = MakeManager(std::move(options));
-    auto created =
-        manager->Create("", "lookahead-minmax", workload::kQ2, 1, 0);
-    ASSERT_TRUE(created.ok()) << created.status();
-    auto store = workload::Figure1StorePtr();
-    const auto goal =
-        core::JoinPredicate::Parse(store->schema(), workload::kQ2).value();
-    for (;;) {
-      auto suggested = manager->Suggest(created->session_id);
-      ASSERT_TRUE(suggested.ok());
-      if (suggested->done) break;
-      picks_by_mode[m].push_back(suggested->class_id);
-      ASSERT_TRUE(manager
-                      ->Label(created->session_id, suggested->class_id,
-                              OracleAnswer(*store, goal,
-                                           suggested->tuple_index))
-                      .ok());
-    }
-  }
-  EXPECT_EQ(picks_by_mode[0], picks_by_mode[1]);
-  EXPECT_FALSE(picks_by_mode[0].empty());
-}
-
-TEST(SessionManagerTest, ParseServingModeNames) {
-  EXPECT_EQ(ParseServingMode("many").value(), ServingMode::kManySessions);
-  EXPECT_EQ(ParseServingMode("few-sessions").value(),
-            ServingMode::kFewSessions);
-  EXPECT_FALSE(ParseServingMode("medium").ok());
-  EXPECT_EQ(ServingModeName(ServingMode::kFewSessions), "few");
 }
 
 TEST(SessionManagerTest, RecoveryContinuesEverySessionIdentically) {
