@@ -218,7 +218,7 @@ void RegisterAll(std::vector<BenchResult>& results) {
   // lookahead strategy (per candidate it needs the impact of both answers).
   // Measures the production path: the transposed kernel over a lookahead
   // cache prepared once, as a decision does; the pre-kernel baseline for the
-  // same metric was two naive SimulateLabel calls.
+  // same metric was two full-rescan simulations.
   for (size_t tuples : {1000, 10000}) {
     const auto workload = MakeSynthetic(tuples, 6);
     const core::InferenceEngine engine(workload.instance);
@@ -234,6 +234,54 @@ void RegisterAll(std::vector<BenchResult>& results) {
           DoNotOptimize(both.positive.pruned_tuples +
                         both.negative.pruned_tuples);
         }));
+  }
+  // The same kernel where the root row cannot reach: the mean over every
+  // candidate of one decision, so the cost of the forbidden-zone terms and
+  // of a second pair word shows. "MidSession": the 10k instance once
+  // lookahead-entropy picks, each answered negative, have left three
+  // forbidden zones (the planted goal ends its session with fewer).
+  // "12Attr": the root of a 12-attribute instance, 66 pairs in two pair
+  // words.
+  const auto kernel_decision = [&results](const char* name, int64_t arg,
+                                          const core::InferenceEngine& engine) {
+    const std::vector<size_t>& candidates = engine.InformativeClasses();
+    JIM_CHECK(!candidates.empty());
+    core::InferenceEngine::LookaheadCache cache;
+    engine.PrepareLookahead(cache);
+    BenchResult result = RunBench(name, arg, [&] {
+      size_t pruned = 0;
+      for (size_t c : candidates) {
+        const core::InferenceEngine::LabelImpactPair both =
+            engine.SimulateLabelBoth(c, cache);
+        pruned += both.positive.pruned_tuples + both.negative.pruned_tuples;
+      }
+      DoNotOptimize(pruned);
+    });
+    result.ns_per_op /= static_cast<double>(candidates.size());
+    results.push_back(result);
+  };
+  {
+    const auto workload = MakeSynthetic(10000, 7);
+    core::InferenceEngine engine(workload.instance);
+    core::LookaheadStrategy strategy(
+        core::LookaheadStrategy::Objective::kEntropy);
+    while (engine.state().negatives().size() < 3) {
+      JIM_CHECK(!engine.IsDone());
+      JIM_CHECK_OK(engine.SubmitClassLabel(strategy.PickClass(engine),
+                                           core::Label::kNegative));
+    }
+    JIM_CHECK(!engine.IsDone());
+    kernel_decision("EngineSimulateLabelMidSession", 10000, engine);
+  }
+  {
+    util::Rng rng(12);
+    workload::SyntheticSpec spec;
+    spec.num_tuples = 1000;
+    spec.num_attributes = 12;
+    spec.domain_size = 6;
+    const auto workload = workload::MakeSyntheticWorkload(spec, rng);
+    kernel_decision("EngineSimulateLabel12Attr", 1000,
+                    core::InferenceEngine(workload.instance));
   }
   const auto strategy_sweep = [&results](const char* name,
                                          const char* strategy_name,

@@ -17,10 +17,12 @@
 #                        actually reference
 #   - ASAN stage         columnar storage/ingest suites plus the lookahead
 #                        pick parity + trail-undo suites under address
-#   - UBSAN stage        integer-kernel + storage suites AND the
-#                        deterministic fuzz driver (5000 mutated JIMC
-#                        images / goal strings) under address+undefined
-#                        with every finding fatal (-fno-sanitize-recover)
+#   - UBSAN stage        integer-kernel + storage suites (the lookahead
+#                        kernel's edge cases included) AND the deterministic
+#                        fuzz driver (5000 mutated JIMC images, goal strings
+#                        and protocol request lines through ParseJson /
+#                        ParseRequest) under address+undefined with every
+#                        finding fatal (-fno-sanitize-recover)
 #   - CRASH stage        fault-injection + crash-recovery suites under
 #                        address sanitizer: every syscall index during
 #                        WriteStore/SaveCatalog crashed and replayed,
@@ -242,9 +244,10 @@ else
     storage_snapshot_test fuzz_jimc_main
   run_ctest build-ubsan \
     'Partition|Antichain|KernelParity|BellNumber|Refinements|Covers|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|Snapshot|InvariantAudit|fuzz_jimc_smoke'
-  # The deterministic fuzz driver, long run: 5000 mutated JIMC images and
-  # goal strings, every outcome a typed Status, under ASAN+UBSAN with
-  # findings fatal. Reproduce any failure with the printed seed.
+  # The deterministic fuzz driver, long run: 5000 mutated JIMC images, goal
+  # strings and protocol request lines, every outcome a typed Status, under
+  # ASAN+UBSAN with findings fatal. Reproduce any failure with the printed
+  # seed.
   ./build-ubsan/fuzz_jimc_main --seed=1 --iterations=5000
 fi
 

@@ -625,41 +625,6 @@ util::Status InferenceEngine::SubmitClassLabel(size_t class_id, Label label,
   return status;
 }
 
-InferenceEngine::LabelImpact InferenceEngine::SimulateLabel(
-    size_t class_id, Label label) const {
-  // The naive reference implementation (full state copy + rescan); the hot
-  // path is the lookahead kernel SimulateLabelBoth, pinned to this by the
-  // parity tests.
-  JIM_CHECK_LT(class_id, classes_->size());
-  JIM_CHECK(session_->class_status[class_id] == ClassStatus::kInformative);
-  InferenceState hypothetical = state_;
-  // An informative class accepts either label by definition.
-  JIM_CHECK_OK(hypothetical.ApplyLabel((*classes_)[class_id].partition, label));
-
-  LabelImpact impact;
-  impact.pruned_classes = 1;
-  impact.pruned_tuples = (*classes_)[class_id].size();
-  for (size_t c = 0; c < classes_->size(); ++c) {
-    if (c == class_id ||
-        session_->class_status[c] != ClassStatus::kInformative) {
-      continue;
-    }
-    if (hypothetical.Classify((*classes_)[c].partition) !=
-        TupleClassification::kInformative) {
-      ++impact.pruned_classes;
-      impact.pruned_tuples += (*classes_)[c].size();
-    }
-  }
-  return impact;
-}
-
-InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
-    size_t class_id) const {
-  LookaheadCache cache;
-  PrepareLookahead(cache);
-  return SimulateLabelBoth(class_id, cache);
-}
-
 namespace {
 
 /// Words per pair bitset over n attributes: one bit per pair i < j.
@@ -677,11 +642,6 @@ void FillPairBits(const lat::Partition& p, uint64_t* out) {
       if (block[i] == block[j]) out[bit / 64] |= uint64_t{1} << (bit % 64);
     }
   }
-}
-
-/// All ones iff pair `p` is in `bits`, else zero.
-inline uint64_t PairMask(const uint64_t* bits, size_t p) {
-  return uint64_t{0} - ((bits[p / 64] >> (p % 64)) & 1);
 }
 
 }  // namespace
@@ -765,10 +725,14 @@ InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
   JIM_CHECK_EQ(cache.worklist_size, session_->informative.size())
       << "lookahead cache prepared for another worklist";
   const size_t pairs = cache.num_pairs;
+  const size_t pair_words = cache.pair_words;
   const uint64_t* labeled = cache.pair_bits.data() +
-                            session_->worklist_pos[class_id] * cache.pair_words;
+                            session_->worklist_pos[class_id] * pair_words;
   const uint64_t* const antichain = cache.antichain_bits.data();
   const uint64_t* const antichain_end = antichain + cache.antichain_bits.size();
+  // The valid pairs of the last pair word; ¬L must not reach past them.
+  const uint64_t last_word_pairs =
+      pairs % 64 == 0 ? ~uint64_t{0} : (uint64_t{1} << (pairs % 64)) - 1;
   // Packed (count, tuples) sums over N and U; see LookaheadCache::nibble_sums.
   uint64_t negative_sum = 0;
   uint64_t positive_sum = 0;
@@ -776,17 +740,25 @@ InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
     const uint64_t* slice = cache.pair_slices.data() + w * pairs;
     uint64_t outside = 0;            // ⋃_{p∉L} S_p
     uint64_t inside = ~uint64_t{0};  // ⋂_{p∈L} S_p
-    for (size_t p = 0; p < pairs; ++p) {
-      const uint64_t in_labeled = PairMask(labeled, p);
-      outside |= slice[p] & ~in_labeled;
-      inside &= slice[p] | ~in_labeled;
+    for (size_t pw = 0; pw < pair_words; ++pw) {
+      const uint64_t* word_slice = slice + pw * 64;
+      for (uint64_t b = labeled[pw]; b != 0; b &= b - 1) {
+        inside &= word_slice[__builtin_ctzll(b)];
+      }
+      uint64_t unlabeled = ~labeled[pw];
+      if (pw + 1 == pair_words) unlabeled &= last_word_pairs;
+      for (uint64_t b = unlabeled; b != 0; b &= b - 1) {
+        outside |= word_slice[__builtin_ctzll(b)];
+      }
     }
     uint64_t dominated = 0;  // ⋃_m ¬⋃_{p∈L∖m} S_p
-    for (const uint64_t* m = antichain; m != antichain_end;
-         m += cache.pair_words) {
+    for (const uint64_t* m = antichain; m != antichain_end; m += pair_words) {
       uint64_t escapes = 0;
-      for (size_t p = 0; p < pairs; ++p) {
-        escapes |= slice[p] & PairMask(labeled, p) & ~PairMask(m, p);
+      for (size_t pw = 0; pw < pair_words; ++pw) {
+        const uint64_t* word_slice = slice + pw * 64;
+        for (uint64_t b = labeled[pw] & ~m[pw]; b != 0; b &= b - 1) {
+          escapes |= word_slice[__builtin_ctzll(b)];
+        }
       }
       dominated |= ~escapes;
     }

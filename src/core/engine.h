@@ -197,23 +197,17 @@ class InferenceEngine {
   util::Status SubmitTupleLabel(size_t tuple_index, Label label);
 
   /// Labels (the representative tuple of) a class. When accepted and
-  /// `impact` is non-null, stores what the label pruned — exactly
-  /// SimulateLabel(class_id, label) for an informative class.
+  /// `impact` is non-null, stores what the label pruned: for an informative
+  /// class, exactly the matching answer of SimulateLabelBoth(class_id, …),
+  /// which the parity suites pin to a full state-copy rescan.
   util::Status SubmitClassLabel(size_t class_id, Label label,
                                 LabelImpact* impact = nullptr);
-
-  /// What would happen if `class_id` got `label` (see LabelImpact). Pure.
-  LabelImpact SimulateLabel(size_t class_id, Label label) const;
 
   /// Both answers' impacts of one candidate.
   struct LabelImpactPair {
     LabelImpact positive;
     LabelImpact negative;
   };
-  /// The lookahead kernel below over a freshly prepared cache: O(worklist ·
-  /// n²) per call, so only tests and benches use it — lookahead prepares the
-  /// cache once per decision and calls the two-argument overload.
-  LabelImpactPair SimulateLabelBoth(size_t class_id) const;
 
   /// Per-decision lookahead state, built once by PrepareLookahead and read,
   /// never written, by every candidate of that decision. Partitions are pair
@@ -222,7 +216,9 @@ class InferenceEngine {
   /// K ≤ K′ iff pairs(K) ⊆ pairs(K′) and pairs(K ∧ K′) = pairs(K) ∩
   /// pairs(K′). The cache also holds that relation transposed: per pair p,
   /// the worklist bitset S_p = {d : p ∈ pairs(K_d)}, which every candidate
-  /// reads instead of re-deriving it class by class.
+  /// reads instead of re-deriving it class by class. A candidate reads only
+  /// the slices of the pairs its answers depend on (see SimulateLabelBoth),
+  /// O(W/64 · (P + Σ_m |L∖m|)) words for W classes and P pairs.
   struct LookaheadCache {
     static constexpr unsigned kCountShift = 40;  ///< see nibble_sums
     size_t worklist_size = 0;   ///< W, the worklist it was prepared for
@@ -232,7 +228,7 @@ class InferenceEngine {
     std::vector<uint64_t> pair_bits;       ///< pairs(K_d), by worklist position
     std::vector<uint64_t> antichain_bits;  ///< pairs(m), per antichain member
     /// Word w of S_p at [w · P + p]: a candidate's pass over one worklist
-    /// word reads P consecutive words.
+    /// word reads within P consecutive words.
     std::vector<uint64_t> pair_slices;
     /// Class count and tuple sum of every subset of each worklist nibble,
     /// packed as count · 2^kCountShift + tuples: entry [(16w + k) · 16 + v]
@@ -246,9 +242,11 @@ class InferenceEngine {
   void PrepareLookahead(LookaheadCache& cache) const;
 
   /// The lookahead kernel: both answers' impacts of labeling informative
-  /// class c, exactly {SimulateLabel(c, +), SimulateLabel(c, −)}. With
-  /// L = pairs(K_c), every still-informative class d (c included) is counted
-  /// from the cache's slices, one worklist word at a time:
+  /// class c — what a copy of the state with that label applied would move
+  /// out of the pool, which the parity suites pin to exactly that naive
+  /// rescan (tests/core/naive_lookahead.h). With L = pairs(K_c), every
+  /// still-informative class d (c included) is counted from the cache's
+  /// slices, one worklist word at a time:
   ///   negative answer: the new forbidden zone is K_c, so d is pruned iff
   ///     K_d ≤ K_c, i.e. d lies in no S_p with p ∉ L: N = ¬⋃_{p∉L} S_p;
   ///   positive answer: the new θ_P is K_c, so d is forced positive iff
@@ -256,7 +254,11 @@ class InferenceEngine {
   ///     under an antichain member m (d ∈ ¬⋃_{p∈L∖m} S_p; restricting the
   ///     antichain to the new θ_P cannot change that test for partitions
   ///     below it): U = ⋂_{p∈L} S_p ∪ ⋃_m ¬⋃_{p∈L∖m} S_p.
-  /// n⁻ and n⁺ are the class counts and size sums over N and U. Every
+  /// n⁻ and n⁺ are the class counts and size sums over N and U. Each term
+  /// reads only the slices it depends on, walking set bits: the ⋂ over L,
+  /// the ⋃ over the P − |L| valid pairs outside L, and per antichain member
+  /// m the ⋃ over L∖m — O(W/64 · (P + Σ_m |L∖m|)) word operations, against
+  /// O(W/64 · P · (1 + |A|)) for masking every pair per term. Every
   /// candidate is scored in full — there is no bound or early exit — and
   /// each call adds one to engine.simulate_label_both. One code path serves
   /// every pair and worklist width. Reads only the engine and `cache`, so

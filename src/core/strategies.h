@@ -83,12 +83,13 @@ class LocalStrategy : public Strategy {
 ///
 /// Each decision prepares the engine's LookaheadCache once — the per-pair
 /// worklist bitsets — and scores every sampled candidate exactly, serially,
-/// with InferenceEngine::SimulateLabelBoth over it: per worklist word, a few
-/// word-wide ORs and ANDs per attribute pair. There is no cutoff; the pick
-/// is Strategy::PickClass's argmax over Score (ties toward the smallest
-/// index). A candidate costs well under a microsecond, so one pick is not
-/// worth splitting across cores; the daemon gets its throughput from
-/// serving many sessions at once.
+/// with InferenceEngine::SimulateLabelBoth over it: per worklist word, one
+/// word-wide AND or OR per attribute pair, plus one OR per pair of the
+/// candidate's knowledge that each forbidden zone splits. There is no
+/// cutoff; the pick is Strategy::PickClass's argmax over Score (ties toward
+/// the smallest index). A candidate costs well under a microsecond, so one
+/// pick is not worth splitting across cores; the daemon gets its throughput
+/// from serving many sessions at once.
 class LookaheadStrategy : public Strategy {
  public:
   enum class Objective { kMinMax, kExpected, kEntropy };
@@ -105,7 +106,7 @@ class LookaheadStrategy : public Strategy {
   void set_thread_pool(std::nullptr_t) {}
 
   /// The aggregate objective itself, exposed so tests can rebuild the
-  /// argmax from naive SimulateLabel counts.
+  /// argmax from naive rescan counts (tests/core/naive_lookahead.h).
   double ObjectiveValue(size_t n_plus, size_t n_minus) const {
     return Aggregate(n_plus, n_minus);
   }

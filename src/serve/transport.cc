@@ -150,7 +150,7 @@ class TcpTransport final : public Transport {
 };
 
 /// One connection over caller-provided streams. ShutdownNow cannot unblock
-/// a blocking std::getline portably; it only fails subsequent operations.
+/// a blocking stream read portably; it only fails subsequent operations.
 /// The server never needs more: in stdio mode shutdown always arrives on
 /// the connection's own request loop (shutdown verb or EOF).
 class StreamConnection final : public Connection {
@@ -161,9 +161,22 @@ class StreamConnection final : public Connection {
     if (shutdown_.load(std::memory_order_acquire)) {
       return util::NotFoundError("connection closed");
     }
+    // std::getline's framing, plus the TCP transport's line cap: a line of
+    // kMaxRequestLineBytes is read whole, one byte more fails the read and
+    // leaves the rest of the line unread.
     std::string line;
-    if (!std::getline(in_, line)) {
-      return util::NotFoundError("connection closed");
+    std::streambuf* const buffer = in_.rdbuf();
+    for (int ch = buffer->sbumpc(); ch != '\n'; ch = buffer->sbumpc()) {
+      if (ch == std::char_traits<char>::eof()) {
+        // A last line without its '\n' still counts, as with getline.
+        if (line.empty()) return util::NotFoundError("connection closed");
+        break;
+      }
+      if (line.size() == kMaxRequestLineBytes) {
+        return util::InvalidArgumentError(util::StrFormat(
+            "request line exceeds %zu bytes", kMaxRequestLineBytes));
+      }
+      line.push_back(static_cast<char>(ch));
     }
     if (!line.empty() && line.back() == '\r') line.pop_back();
     return line;

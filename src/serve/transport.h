@@ -12,9 +12,10 @@
 
 namespace jim::serve {
 
-/// Longest request line a TCP connection buffers, terminator excluded. A
-/// longer line fails ReadLine with kInvalidArgument, so a peer that never
-/// sends '\n' cannot grow the daemon's memory without bound.
+/// Longest request line a connection buffers, terminator excluded, on TCP
+/// and on the stream (stdio) transport alike. A longer line fails ReadLine
+/// with kInvalidArgument, so a peer that never sends '\n' cannot grow the
+/// daemon's memory without bound.
 inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
 
 /// One bidirectional newline-delimited byte stream between the daemon and a
@@ -25,9 +26,9 @@ class Connection {
   virtual ~Connection() = default;
 
   /// Next line, without its terminator. kNotFound("connection closed") on a
-  /// clean peer close or shutdown; kInvalidArgument for a TCP line longer
-  /// than kMaxRequestLineBytes (the stream is then out of sync, so the
-  /// caller should close it); other codes for transport errors.
+  /// clean peer close or shutdown; kInvalidArgument for a line longer than
+  /// kMaxRequestLineBytes (the stream is then out of sync, so the caller
+  /// should close it); other codes for transport errors.
   virtual util::StatusOr<std::string> ReadLine() = 0;
   /// Writes `line` plus '\n' and flushes.
   virtual util::Status WriteLine(std::string_view line) = 0;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/jim.h"
+#include "naive_lookahead.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 #include "workload/travel.h"
@@ -51,11 +52,11 @@ TEST(AdversarialTest, AdversarialAnswersStillTerminate) {
   while (!engine.IsDone()) {
     const size_t cls = strategy->PickClass(engine);
     // Adversary: choose the answer that leaves MORE informative tuples.
-    const auto plus = engine.SimulateLabel(cls, Label::kPositive);
-    const auto minus = engine.SimulateLabel(cls, Label::kNegative);
-    const Label worst = plus.pruned_tuples <= minus.pruned_tuples
-                            ? Label::kPositive
-                            : Label::kNegative;
+    const auto both = NaiveSimulateLabelBoth(engine, cls);
+    const Label worst =
+        both.positive.pruned_tuples <= both.negative.pruned_tuples
+            ? Label::kPositive
+            : Label::kNegative;
     ASSERT_TRUE(engine.SubmitClassLabel(cls, worst).ok());
     ASSERT_LE(++questions, engine.num_classes());
   }

@@ -8,6 +8,7 @@
 #include "core/engine.h"
 #include "core/jim.h"
 #include "gtest/gtest.h"
+#include "naive_lookahead.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 
@@ -169,11 +170,12 @@ TEST(EngineCowTest, SiblingClonesAreIndependent) {
 
   // SimulateLabelBoth on the untouched prototype still agrees with the
   // naive reference (the caches of a/b diverged, the prototype's did not).
-  const auto both = prototype.SimulateLabelBoth(c);
-  const auto pos = prototype.SimulateLabel(c, Label::kPositive);
-  const auto neg = prototype.SimulateLabel(c, Label::kNegative);
-  EXPECT_EQ(both.positive.pruned_tuples, pos.pruned_tuples);
-  EXPECT_EQ(both.negative.pruned_tuples, neg.pruned_tuples);
+  InferenceEngine::LookaheadCache cache;
+  prototype.PrepareLookahead(cache);
+  const auto both = prototype.SimulateLabelBoth(c, cache);
+  const auto naive = NaiveSimulateLabelBoth(prototype, c);
+  EXPECT_EQ(both.positive.pruned_tuples, naive.positive.pruned_tuples);
+  EXPECT_EQ(both.negative.pruned_tuples, naive.negative.pruned_tuples);
 }
 
 }  // namespace

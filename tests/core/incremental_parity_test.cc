@@ -1,7 +1,8 @@
 // Randomized parity tests for the incremental classification engine: the
 // cached/incremental paths (knowledge cache + worklist propagation,
-// SimulateLabelBoth, StateKey memo keys) must agree exactly with the naive
-// references (fresh-state Classify, two SimulateLabel calls, CanonicalKey)
+// the SimulateLabelBoth kernel, StateKey memo keys) must agree exactly with
+// the naive references (fresh-state Classify, NaiveSimulateLabelBoth,
+// CanonicalKey)
 // over seeded random sessions.
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "core/engine.h"
 #include "core/inference_state.h"
 #include "core/strategies.h"
+#include "naive_lookahead.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 #include "util/check.h"
@@ -116,14 +118,15 @@ TEST(IncrementalParityTest, SimulateLabelBothMatchesTwoSimulateLabelCalls) {
     while (!engine.IsDone()) {
       // Compare every informative candidate at every step of the session.
       const std::vector<size_t> informative = engine.InformativeClasses();
+      InferenceEngine::LookaheadCache cache;
+      engine.PrepareLookahead(cache);
       for (size_t cls : informative) {
-        const auto both = engine.SimulateLabelBoth(cls);
-        const auto plus = engine.SimulateLabel(cls, Label::kPositive);
-        const auto minus = engine.SimulateLabel(cls, Label::kNegative);
-        EXPECT_EQ(both.positive.pruned_classes, plus.pruned_classes);
-        EXPECT_EQ(both.positive.pruned_tuples, plus.pruned_tuples);
-        EXPECT_EQ(both.negative.pruned_classes, minus.pruned_classes);
-        EXPECT_EQ(both.negative.pruned_tuples, minus.pruned_tuples);
+        const auto both = engine.SimulateLabelBoth(cls, cache);
+        const auto naive = NaiveSimulateLabelBoth(engine, cls);
+        EXPECT_EQ(both.positive.pruned_classes, naive.positive.pruned_classes);
+        EXPECT_EQ(both.positive.pruned_tuples, naive.positive.pruned_tuples);
+        EXPECT_EQ(both.negative.pruned_classes, naive.negative.pruned_classes);
+        EXPECT_EQ(both.negative.pruned_tuples, naive.negative.pruned_tuples);
       }
       const size_t cls = rng.PickOne(informative);
       const Label label =
@@ -146,7 +149,9 @@ TEST(IncrementalParityTest, SimulatedImpactMatchesActualSubmission) {
       const size_t cls = rng.PickOne(informative);
       const Label label =
           rng.UniformInt(0, 1) == 0 ? Label::kPositive : Label::kNegative;
-      const auto both = engine.SimulateLabelBoth(cls);
+      InferenceEngine::LookaheadCache cache;
+      engine.PrepareLookahead(cache);
+      const auto both = engine.SimulateLabelBoth(cls, cache);
       const auto predicted =
           label == Label::kPositive ? both.positive : both.negative;
       ASSERT_TRUE(engine.SubmitClassLabel(cls, label).ok());
@@ -211,9 +216,9 @@ TEST(IncrementalParityTest, LookaheadPickUnchangedByFastPath) {
     size_t best_score = 0;
     bool first = true;
     for (size_t cls : candidates) {
-      const auto plus = engine.SimulateLabel(cls, Label::kPositive);
-      const auto minus = engine.SimulateLabel(cls, Label::kNegative);
-      const size_t score = std::min(plus.pruned_tuples, minus.pruned_tuples);
+      const auto both = NaiveSimulateLabelBoth(engine, cls);
+      const size_t score =
+          std::min(both.positive.pruned_tuples, both.negative.pruned_tuples);
       if (first || score > best_score) {
         best = cls;
         best_score = score;

@@ -13,6 +13,7 @@
 
 #include "core/engine.h"
 #include "core/inference_state.h"
+#include "naive_lookahead.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
@@ -131,7 +132,7 @@ TEST(LabelVerdictParityTest, CheckLabelMatchesSubmissionOnRandomTranscripts) {
       const bool informative =
           engine.class_status(cls) == ClassStatus::kInformative;
       const InferenceEngine::LabelImpact predicted =
-          informative ? engine.SimulateLabel(cls, label)
+          informative ? NaiveSimulateLabel(engine, cls, label)
                       : InferenceEngine::LabelImpact{};
       // The class path, on the clone: same verdict, and an accepted label
       // reports what it pruned — the simulation's prediction, or nothing

@@ -7,9 +7,15 @@
 //   - worklists of fewer than 64 classes, exactly 64 and 128, and more than
 //     128 with a partial last word, with class sizes spanning several bits,
 //     before and after negative labels;
-//   - every candidate's kernel result equals two naive SimulateLabel calls,
-//     and every pick equals the naive argmax — also under the
-//     max_candidates sample, with more than 256 informative classes;
+//   - every candidate's kernel result equals NaiveSimulateLabelBoth, and
+//     every pick equals the naive argmax — also under the max_candidates
+//     sample, with more than 256 informative classes;
+//   - the kernel's edges: 12 attributes (the second pair word holds 2 valid
+//     pairs) under 16 or more forbidden zones, a candidate with no co-block
+//     pair (L empty), candidates with the largest L an informative class
+//     can have, and — on hand-edited caches, against the kernel's set
+//     formula, since no engine state reaches them — a forbidden zone
+//     m ⊇ L and an L of every pair;
 //   - one PickClass adds exactly one engine.simulate_label_both per scored
 //     candidate and nothing to engine.cutoff_skips;
 //   - InferenceEngine::InstanceEquivalent agrees with the tuple-scanning
@@ -105,27 +111,98 @@ std::vector<LookaheadStrategy::Objective> AllObjectives() {
           LookaheadStrategy::Objective::kEntropy};
 }
 
-/// Every informative class's kernel result against two naive SimulateLabel
-/// calls, over one cache prepared for the engine's current worklist.
+/// One instance row per partition: the partition's block labels, repeated
+/// `copies` times.
+std::shared_ptr<const rel::Relation> MakeInstanceFromPartitions(
+    size_t attrs, const std::vector<lat::Partition>& partitions,
+    size_t copies) {
+  util::Rng rng(attrs);
+  workload::SyntheticSpec spec;
+  spec.num_attributes = attrs;
+  spec.num_tuples = 1;
+  const auto schema_source = workload::MakeSyntheticWorkload(spec, rng);
+  auto relation = std::make_shared<rel::Relation>(
+      "partitions", schema_source.instance->schema());
+  for (const lat::Partition& partition : partitions) {
+    rel::Tuple row;
+    for (int label : partition.labels()) row.emplace_back(int64_t{label});
+    for (size_t k = 0; k < copies; ++k) JIM_CHECK_OK(relation->AddRow(row));
+  }
+  return relation;
+}
+
+/// Expects `actual` to equal `expected`, both answers, field by field.
+void ExpectImpactsEqual(const InferenceEngine::LabelImpactPair& actual,
+                        const InferenceEngine::LabelImpactPair& expected,
+                        const std::string& context) {
+  EXPECT_EQ(actual.positive.pruned_classes, expected.positive.pruned_classes)
+      << context;
+  EXPECT_EQ(actual.positive.pruned_tuples, expected.positive.pruned_tuples)
+      << context;
+  EXPECT_EQ(actual.negative.pruned_classes, expected.negative.pruned_classes)
+      << context;
+  EXPECT_EQ(actual.negative.pruned_tuples, expected.negative.pruned_tuples)
+      << context;
+}
+
+/// Every informative class's kernel result against NaiveSimulateLabelBoth,
+/// over one cache prepared for the engine's current worklist.
 void ExpectKernelMatchesNaive(const InferenceEngine& engine,
                               const std::string& context) {
   InferenceEngine::LookaheadCache cache;
   engine.PrepareLookahead(cache);
   ASSERT_EQ(cache.worklist_size, engine.InformativeClasses().size());
   for (size_t c : engine.InformativeClasses()) {
-    const InferenceEngine::LabelImpactPair both =
-        engine.SimulateLabelBoth(c, cache);
-    const auto plus = engine.SimulateLabel(c, Label::kPositive);
-    const auto minus = engine.SimulateLabel(c, Label::kNegative);
-    EXPECT_EQ(both.positive.pruned_classes, plus.pruned_classes)
-        << context << " class=" << c;
-    EXPECT_EQ(both.positive.pruned_tuples, plus.pruned_tuples)
-        << context << " class=" << c;
-    EXPECT_EQ(both.negative.pruned_classes, minus.pruned_classes)
-        << context << " class=" << c;
-    EXPECT_EQ(both.negative.pruned_tuples, minus.pruned_tuples)
-        << context << " class=" << c;
+    ExpectImpactsEqual(engine.SimulateLabelBoth(c, cache),
+                       NaiveSimulateLabelBoth(engine, c),
+                       context + " class=" + std::to_string(c));
   }
+}
+
+/// Number of co-block attribute pairs of `p`: |pairs(p)|.
+size_t PairCount(const lat::Partition& p) { return p.Pairs().size(); }
+
+/// True iff every bit of the `words`-word pair bitset `a` is set in `b`.
+bool PairSubset(const uint64_t* a, const uint64_t* b, size_t words) {
+  for (size_t w = 0; w < words; ++w) {
+    if ((a[w] & ~b[w]) != 0) return false;
+  }
+  return true;
+}
+
+/// The kernel's set formula, evaluated class by class from the cache's pair
+/// bitsets alone: for the candidate at worklist position `position`, with
+/// L its pair set, d counts toward the negative answer iff pairs(K_d) ⊆ L,
+/// and toward the positive one iff L ⊆ pairs(K_d) or pairs(K_d) ∩ L ⊆ m
+/// for some antichain member m.
+InferenceEngine::LabelImpactPair NaiveSetFormula(
+    const InferenceEngine& engine,
+    const InferenceEngine::LookaheadCache& cache, size_t position) {
+  const size_t words = cache.pair_words;
+  const uint64_t* labeled = cache.pair_bits.data() + position * words;
+  const size_t members = words == 0 ? 0 : cache.antichain_bits.size() / words;
+  InferenceEngine::LabelImpactPair result;
+  std::vector<uint64_t> shared(words);
+  for (size_t d = 0; d < cache.worklist_size; ++d) {
+    const uint64_t* bits = cache.pair_bits.data() + d * words;
+    const size_t size =
+        engine.tuple_class(engine.InformativeClasses()[d]).size();
+    if (PairSubset(bits, labeled, words)) {
+      ++result.negative.pruned_classes;
+      result.negative.pruned_tuples += size;
+    }
+    bool positive = PairSubset(labeled, bits, words);
+    for (size_t w = 0; w < words; ++w) shared[w] = bits[w] & labeled[w];
+    for (size_t a = 0; a < members && !positive; ++a) {
+      positive = PairSubset(shared.data(),
+                            cache.antichain_bits.data() + a * words, words);
+    }
+    if (positive) {
+      ++result.positive.pruned_classes;
+      result.positive.pruned_tuples += size;
+    }
+  }
+  return result;
 }
 
 /// Every objective's pick against the naive argmax over the same
@@ -199,6 +276,123 @@ TEST(LookaheadKernelParityTest, KernelMatchesNaiveAcrossWorklistWidths) {
       ExpectKernelMatchesNaive(engine, context);
       ExpectPicksMatchNaive(engine, 256, context);
     }
+  }
+}
+
+TEST(LookaheadKernelParityTest, TwelveAttributesUnderManyForbiddenZones) {
+  // 66 pairs: the second pair word holds 2 valid pairs and 62 bits the
+  // kernel must never read a slice for. Negative answers, coarsest
+  // knowledge first, never retire a forbidden zone (a later, no coarser
+  // zone cannot lie strictly above an earlier one), so the antichain grows
+  // by one per label.
+  InferenceEngine engine(MakeInstanceWithNulls(6, 12, 200));
+  size_t most_zones_checked = 0;
+  while (!engine.IsDone() && engine.state().negatives().size() < 20) {
+    const std::string context =
+        "zones=" + std::to_string(engine.state().negatives().size());
+    ExpectKernelMatchesNaive(engine, context);
+    most_zones_checked = engine.state().negatives().size();
+    const std::vector<size_t>& informative = engine.InformativeClasses();
+    size_t pick = informative.front();
+    for (size_t c : informative) {
+      if (PairCount(engine.ClassKnowledge(c)) >
+          PairCount(engine.ClassKnowledge(pick))) {
+        pick = c;
+      }
+    }
+    ASSERT_TRUE(engine.SubmitClassLabel(pick, Label::kNegative).ok());
+  }
+  EXPECT_GE(most_zones_checked, 16u);
+  if (!engine.IsDone()) ExpectPicksMatchNaive(engine, 256, "zones=20");
+}
+
+TEST(LookaheadKernelParityTest, EmptyAndLargestKnowledgeMatchNaive) {
+  // 12 attributes at the root, where θ_P is ⊤ and K_c = Part(c). The
+  // all-distinct row has no co-block pair (L empty); it stays informative
+  // only while the antichain is empty. Each "all but attribute a" row has
+  // 55 of the 66 pairs, the largest L an informative class can have (all
+  // 66 would be ⊤ = θ_P, forced positive): a = 0 leaves the unlabeled
+  // pairs in the first pair word, a = 11 spreads them over both words,
+  // the last valid bit included.
+  constexpr size_t kAttrs = 12;
+  std::vector<lat::Partition> partitions;
+  std::vector<int> distinct(kAttrs);
+  for (size_t i = 0; i < kAttrs; ++i) distinct[i] = static_cast<int>(i);
+  partitions.push_back(lat::Partition::FromLabels(distinct));
+  for (size_t a : {0u, 5u, 11u}) {
+    std::vector<int> labels(kAttrs, 0);
+    labels[a] = 1;
+    partitions.push_back(lat::Partition::FromLabels(labels));
+  }
+  util::Rng rng(12);
+  for (int k = 0; k < 40; ++k) {
+    partitions.push_back(workload::RandomPartitionWithRank(
+        kAttrs, static_cast<size_t>(rng.UniformInt(1, 10)), rng));
+  }
+  InferenceEngine engine(MakeInstanceFromPartitions(kAttrs, partitions, 2));
+  const size_t empty = engine.class_of_tuple(0);
+  ASSERT_EQ(engine.class_status(empty), ClassStatus::kInformative);
+  ASSERT_EQ(PairCount(engine.ClassKnowledge(empty)), 0u);
+  for (size_t row = 1; row <= 3; ++row) {
+    const size_t largest = engine.class_of_tuple(2 * row);
+    ASSERT_EQ(engine.class_status(largest), ClassStatus::kInformative);
+    ASSERT_EQ(PairCount(engine.ClassKnowledge(largest)), 55u);
+  }
+  ExpectKernelMatchesNaive(engine, "root");
+  ExpectPicksMatchNaive(engine, 256, "root");
+  // Forbidden zones retire the empty-L class; the largest ones stay.
+  for (int step = 0; step < 3 && !engine.IsDone(); ++step) {
+    const size_t pick = engine.InformativeClasses().back();
+    ASSERT_TRUE(engine.SubmitClassLabel(pick, Label::kNegative).ok());
+    if (engine.IsDone()) break;
+    ExpectKernelMatchesNaive(engine, "step=" + std::to_string(step));
+  }
+}
+
+TEST(LookaheadKernelParityTest, EditedCacheMatchesSetFormula) {
+  // States no engine reaches, built by editing a prepared cache: a zone
+  // m ⊇ L would make the candidate forced negative, and an L of all P
+  // pairs is ⊤ = θ_P, forced positive. The kernel must still follow its
+  // set formula there: with L∖m empty, ⋃_{p∈L∖m} S_p is empty and the
+  // dominated set is all ones.
+  for (size_t attrs : {11u, 12u, 14u}) {
+    InferenceEngine engine(MakeInstanceWithNulls(attrs, attrs, 150));
+    for (int step = 0; step < 2 && !engine.IsDone(); ++step) {
+      const size_t pick = engine.InformativeClasses().front();
+      ASSERT_TRUE(engine.SubmitClassLabel(pick, Label::kNegative).ok());
+    }
+    ASSERT_FALSE(engine.IsDone());
+    const std::vector<size_t>& informative = engine.InformativeClasses();
+    InferenceEngine::LookaheadCache prepared;
+    engine.PrepareLookahead(prepared);
+    const size_t words = prepared.pair_words;
+    for (size_t position = 0; position < informative.size(); ++position) {
+      const size_t c = informative[position];
+      const std::string context = "attrs=" + std::to_string(attrs) +
+                                  " class=" + std::to_string(c);
+      ExpectImpactsEqual(engine.SimulateLabelBoth(c, prepared),
+                         NaiveSetFormula(engine, prepared, position),
+                         context);
+      // One more zone, equal to L: it contains L, so L∖m is empty.
+      InferenceEngine::LookaheadCache superset = prepared;
+      const uint64_t* labeled = prepared.pair_bits.data() + position * words;
+      superset.antichain_bits.insert(superset.antichain_bits.end(), labeled,
+                                     labeled + words);
+      const InferenceEngine::LabelImpactPair both =
+          engine.SimulateLabelBoth(c, superset);
+      ExpectImpactsEqual(both, NaiveSetFormula(engine, superset, position),
+                         context + " m=L");
+      EXPECT_EQ(both.positive.pruned_classes, informative.size()) << context;
+    }
+    // The first candidate's L grown to every pair, its slice bits with it.
+    InferenceEngine::LookaheadCache full = prepared;
+    for (size_t p = 0; p < full.num_pairs; ++p) {
+      full.pair_bits[p / 64] |= uint64_t{1} << (p % 64);
+      full.pair_slices[p] |= 1;
+    }
+    ExpectImpactsEqual(engine.SimulateLabelBoth(informative.front(), full),
+                       NaiveSetFormula(engine, full, 0),
+                       "attrs=" + std::to_string(attrs) + " L=all");
   }
 }
 

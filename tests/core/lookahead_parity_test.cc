@@ -1,5 +1,5 @@
 // Lookahead picks pinned to the naive reference (tests/core/naive_lookahead.h:
-// every sampled candidate scored from two full-rescan SimulateLabel calls):
+// every sampled candidate scored from NaiveSimulateLabelBoth's full rescans):
 //   - PickClass returns the reference argmax for every objective, again on
 //     repeated calls and engine copies, and a strided candidate sample
 //     scores exactly the reference's slots;
@@ -102,7 +102,7 @@ TEST(LookaheadParityTest, PickMatchesNaiveArgmaxForEveryObjective) {
 }
 
 TEST(LookaheadParityTest, PickMatchesNaiveArgmax) {
-  // The pick is the argmax of the naive SimulateLabel scores, ties toward
+  // The pick is the argmax of the naive rescan scores, ties toward
   // the smallest index.
   for (uint64_t seed : {7u, 21u, 77u}) {
     const auto workload = MakeWorkload(seed);
@@ -150,9 +150,9 @@ TEST(LookaheadParityTest, SampledCandidateCapMatchesNaive) {
   std::vector<double> expected(n, -std::numeric_limits<double>::infinity());
   for (size_t j = 0; j < kCap; ++j) {
     const size_t c = candidates[j * n / kCap];
+    const auto both = NaiveSimulateLabelBoth(engine, c);
     expected[j * n / kCap] = lookahead.ObjectiveValue(
-        engine.SimulateLabel(c, Label::kPositive).pruned_tuples,
-        engine.SimulateLabel(c, Label::kNegative).pruned_tuples);
+        both.positive.pruned_tuples, both.negative.pruned_tuples);
   }
   EXPECT_EQ(lookahead.Score(engine, candidates), expected);
   EXPECT_EQ(lookahead.PickClass(engine),

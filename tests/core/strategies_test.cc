@@ -4,6 +4,7 @@
 
 #include "core/session.h"
 #include "lattice/enumeration.h"
+#include "naive_lookahead.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 #include "workload/travel.h"
@@ -114,9 +115,8 @@ TEST(LookaheadStrategyTest, PicksTheBiggestGuaranteedPrune) {
   // Verify it maximizes min(n+, n-) over all informative classes.
   const auto informative = engine.InformativeClasses();
   auto score = [&](size_t cls) {
-    const auto plus = engine.SimulateLabel(cls, Label::kPositive);
-    const auto minus = engine.SimulateLabel(cls, Label::kNegative);
-    return std::min(plus.pruned_tuples, minus.pruned_tuples);
+    const auto both = NaiveSimulateLabelBoth(engine, cls);
+    return std::min(both.positive.pruned_tuples, both.negative.pruned_tuples);
   };
   const size_t best = score(pick);
   for (size_t cls : informative) {

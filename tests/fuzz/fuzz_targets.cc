@@ -6,8 +6,10 @@
 #include "core/join_predicate.h"
 #include "relational/dictionary.h"
 #include "relational/schema.h"
+#include "serve/protocol.h"
 #include "storage/mapped_store.h"
 #include "util/check.h"
+#include "util/json_reader.h"
 #include "util/status.h"
 
 namespace jim::fuzz {
@@ -28,6 +30,48 @@ const rel::Schema& GoalSchema() {
     return s;
   }();
   return *schema;
+}
+
+/// Checks the rejection contract of the request parsers: kInvalidArgument
+/// with a message, and an ErrorLine the client side maps back to the same
+/// code.
+void CheckRequestRejection(const util::Status& status, const char* parser) {
+  JIM_CHECK(status.code() == util::StatusCode::kInvalidArgument)
+      << "unexpected " << parser << " rejection code: " << status.ToString();
+  JIM_CHECK(!status.message().empty())
+      << parser << " rejection without a diagnostic message";
+  auto response = util::ParseJson(serve::ErrorLine(status));
+  JIM_CHECK(response.ok()) << "ErrorLine does not parse: "
+                           << response.status().ToString();
+  JIM_CHECK(serve::StatusFromErrorName(response->GetString("error", ""),
+                                       response->GetString("message", ""))
+                .code() == status.code())
+      << "ErrorLine lost the status code of " << status.ToString();
+}
+
+/// Reads every node of `value` through its typed accessors; returns a
+/// digest so the walk cannot be dead-read-eliminated.
+uint64_t WalkJson(const util::JsonValue& value) {
+  if (value.is_bool()) return value.AsBool() ? 3 : 5;
+  if (value.is_number()) {
+    const double number = value.AsDouble();
+    uint64_t digest = number == number ? 7 : 11;  // NaN never parses
+    if (value.is_int()) digest += static_cast<uint64_t>(value.AsInt64());
+    return digest;
+  }
+  if (value.is_string()) return value.AsString().size();
+  uint64_t digest = 13;
+  if (value.is_array()) {
+    for (const util::JsonValue& element : value.AsArray()) {
+      digest = digest * 31 + WalkJson(element);
+    }
+  } else if (value.is_object()) {
+    for (const auto& [key, member] : value.AsObject()) {
+      JIM_CHECK(value.Find(key) == &member) << "object lookup drift";
+      digest = digest * 31 + key.size() + WalkJson(member);
+    }
+  }
+  return digest;
 }
 
 }  // namespace
@@ -117,6 +161,47 @@ int FuzzGoalParse(const uint8_t* data, size_t size) {
     JIM_CHECK(*reparsed == predicate)
         << "goal round trip changed the predicate: " << predicate.ToString()
         << " vs " << reparsed->ToString();
+  }
+  return 1;
+}
+
+int FuzzRequestParse(const uint8_t* data, size_t size) {
+  const std::string_view line(reinterpret_cast<const char*>(data), size);
+  auto document = util::ParseJson(line);
+  if (document.ok()) {
+    volatile uint64_t sink = WalkJson(*document);
+    (void)sink;
+  } else {
+    CheckRequestRejection(document.status(), "ParseJson");
+  }
+  auto parsed = serve::ParseRequest(line);
+  if (!parsed.ok()) {
+    CheckRequestRejection(parsed.status(), "ParseRequest");
+    return 0;
+  }
+  // ParseRequest reads through ParseJson, so it accepts nothing more.
+  JIM_CHECK(document.ok()) << "ParseRequest accepted what ParseJson rejects";
+  const serve::Request& request = *parsed;
+  JIM_CHECK(!request.verb.empty()) << "accepted request without a verb";
+  // The client driver's serialization must re-parse to the same request.
+  const std::string rendered = serve::RequestToLine(request);
+  auto reparsed = serve::ParseRequest(rendered);
+  JIM_CHECK(reparsed.ok()) << "RequestToLine output does not re-parse: "
+                           << rendered;
+  JIM_CHECK(reparsed->verb == request.verb &&
+            reparsed->session == request.session &&
+            reparsed->instance == request.instance &&
+            reparsed->has_class_id == request.has_class_id &&
+            reparsed->class_id == request.class_id &&
+            reparsed->has_answer == request.has_answer &&
+            reparsed->answer == request.answer)
+      << "request round trip changed a member: " << rendered;
+  if (request.verb == "create") {
+    JIM_CHECK(reparsed->strategy == request.strategy &&
+              reparsed->goal == request.goal &&
+              reparsed->seed == request.seed &&
+              reparsed->max_steps == request.max_steps)
+        << "create round trip changed a member: " << rendered;
   }
   return 1;
 }

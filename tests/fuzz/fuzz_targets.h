@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <string>
 
-// The two fuzz targets behind both drivers (the deterministic
+// The three fuzz targets behind both drivers (the deterministic
 // fuzz_jimc_main and the optional libFuzzer entry point). Each target's
 // contract is "any byte string in, no undefined behavior out": every
 // rejection must be a *typed* util::Status, every acceptance must yield an
@@ -28,6 +28,15 @@ int FuzzJimcImage(const uint8_t* data, size_t size,
 /// must hold a canonical partition and survive a ToSqlWhere → Parse round
 /// trip. Returns 1 if parsed, 0 if rejected.
 int FuzzGoalParse(const uint8_t* data, size_t size);
+
+/// Feeds `size` bytes as one protocol request line to util::ParseJson and
+/// serve::ParseRequest, the daemon's only network-facing parsers.
+/// Rejections must be kInvalidArgument with a message, and their
+/// ErrorLine response must parse back to the same code. Accepted documents
+/// get every value walked; accepted requests carry a verb and survive a
+/// RequestToLine → ParseRequest round trip. Returns 1 if the line parsed as
+/// a request, 0 if rejected.
+int FuzzRequestParse(const uint8_t* data, size_t size);
 
 }  // namespace jim::fuzz
 

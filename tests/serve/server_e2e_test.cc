@@ -22,6 +22,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -329,6 +330,83 @@ TEST(ServerE2ETest, OversizedRequestLineFailsTypedAndClosesOnlyThatConnection) {
   ASSERT_TRUE(fresh.ok()) << fresh.status();
   EXPECT_TRUE(fresh->Call(R"({"verb":"ping"})").ok());
   server.Shutdown();
+}
+
+/// The response lines a stdio daemon writes for `input`, served to the end
+/// of the one connection.
+std::vector<std::string> ServeStream(const std::string& input) {
+  auto manager = MakeManager(ServeOptions{});
+  std::istringstream in(input);
+  std::ostringstream out;
+  Server server(manager.get(), StreamTransport(in, out).value());
+  server.Start();
+  server.Wait();
+  std::vector<std::string> lines;
+  std::istringstream responses(out.str());
+  for (std::string line; std::getline(responses, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(ServerE2ETest, StreamTransportCapsTheRequestLine) {
+  // A line of exactly the cap is read whole, terminator excluded.
+  const std::string ping = R"({"verb":"ping"})";
+  const std::string padded_ping =
+      ping + std::string(kMaxRequestLineBytes - ping.size(), ' ');
+  ASSERT_EQ(padded_ping.size(), kMaxRequestLineBytes);
+  {
+    std::istringstream in(padded_ping + "\n" + R"({"verb":"stats"})" + "\n");
+    std::ostringstream out;
+    auto transport = StreamTransport(in, out);
+    ASSERT_TRUE(transport.ok()) << transport.status();
+    auto connection = (*transport)->Accept();
+    ASSERT_TRUE(connection.ok()) << connection.status();
+    auto first = (*connection)->ReadLine();
+    ASSERT_TRUE(first.ok()) << first.status();
+    EXPECT_EQ(*first, padded_ping);
+    auto second = (*connection)->ReadLine();
+    ASSERT_TRUE(second.ok()) << second.status();
+    EXPECT_EQ(*second, R"({"verb":"stats"})");
+    EXPECT_EQ((*connection)->ReadLine().status().code(),
+              util::StatusCode::kNotFound);
+  }
+  // One byte more, or 2 MiB with no newline at all, fails typed.
+  for (const std::string& input :
+       {padded_ping + " \n", std::string(2 * kMaxRequestLineBytes, 'x')}) {
+    std::istringstream in(input);
+    std::ostringstream out;
+    auto transport = StreamTransport(in, out);
+    ASSERT_TRUE(transport.ok()) << transport.status();
+    auto connection = (*transport)->Accept();
+    ASSERT_TRUE(connection.ok()) << connection.status();
+    EXPECT_EQ((*connection)->ReadLine().status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ServerE2ETest, OversizedStdioLineFailsTypedAndEndsTheConnection) {
+  // 2 MiB with no newline: one typed error, then the connection ends and
+  // the request after the flood is never read.
+  const std::vector<std::string> flooded = ServeStream(
+      std::string(2 * kMaxRequestLineBytes, 'x') + "\n" +
+      R"({"verb":"ping"})" + "\n");
+  ASSERT_EQ(flooded.size(), 1u);
+  auto error = util::ParseJson(flooded[0]);
+  ASSERT_TRUE(error.ok()) << "response: " << flooded[0];
+  EXPECT_FALSE(error->GetBool("ok", true));
+  EXPECT_EQ(error->GetString("error", ""), "INVALID_ARGUMENT");
+
+  // A request line of exactly the cap is served, and so is the next one.
+  const std::string ping = R"({"verb":"ping"})";
+  const std::vector<std::string> capped = ServeStream(
+      ping + std::string(kMaxRequestLineBytes - ping.size(), ' ') + "\n" +
+      ping + "\n");
+  ASSERT_EQ(capped.size(), 2u);
+  for (const std::string& line : capped) {
+    auto parsed = util::ParseJson(line);
+    ASSERT_TRUE(parsed.ok()) << "response: " << line;
+    EXPECT_TRUE(parsed->GetBool("ok", false)) << line;
+    EXPECT_EQ(parsed->GetString("verb", ""), "ping");
+  }
 }
 
 TEST(ServerE2ETest, AdmissionRejectionCrossesTheWire) {
