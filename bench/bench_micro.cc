@@ -203,16 +203,29 @@ void RegisterAll(std::vector<BenchResult>& results) {
           (void)engine.SubmitClassLabel(target, core::Label::kPositive);
           DoNotOptimize(engine.NumInformativeTuples());
         });
-    // Copy-corrected propagation cost, so cross-commit comparison tracks
+    // A goal selects few tuples, so most labels of a session are negative,
+    // and they take the other propagation branch: one refinement test per
+    // worklist class, no knowledge refresh.
+    const BenchResult gross_negative = RunBench(
+        "LabelPropagationNegative", static_cast<int64_t>(tuples), [&] {
+          core::InferenceEngine engine = prototype;
+          (void)engine.SubmitClassLabel(target, core::Label::kNegative);
+          DoNotOptimize(engine.NumInformativeTuples());
+        });
+    // Copy-corrected propagation costs, so cross-commit comparison tracks
     // SubmitClassLabel itself rather than the engine copy above.
-    BenchResult net;
-    net.name = "LabelPropagationNet";
-    net.arg = gross.arg;
-    net.iterations = gross.iterations;
-    net.ns_per_op = std::max(0.0, gross.ns_per_op - copy.ns_per_op);
+    const auto copy_corrected = [&copy](const BenchResult& timed,
+                                        const char* name) {
+      BenchResult net = timed;
+      net.name = name;
+      net.ns_per_op = std::max(0.0, timed.ns_per_op - copy.ns_per_op);
+      return net;
+    };
     results.push_back(copy);
     results.push_back(gross);
-    results.push_back(net);
+    results.push_back(copy_corrected(gross, "LabelPropagationNet"));
+    results.push_back(
+        copy_corrected(gross_negative, "LabelPropagationNegative"));
   }
   // Both-label impact of one candidate class — the inner loop of every
   // lookahead strategy (per candidate it needs the impact of both answers).
@@ -224,7 +237,7 @@ void RegisterAll(std::vector<BenchResult>& results) {
     const core::InferenceEngine engine(workload.instance);
     const auto informative = engine.InformativeClasses();
     JIM_CHECK(!informative.empty());
-    const size_t target = informative[informative.size() / 2];
+    const size_t target = informative.size() / 2;  // a worklist position
     core::InferenceEngine::LookaheadCache cache;
     engine.PrepareLookahead(cache);
     results.push_back(
@@ -250,9 +263,9 @@ void RegisterAll(std::vector<BenchResult>& results) {
     engine.PrepareLookahead(cache);
     BenchResult result = RunBench(name, arg, [&] {
       size_t pruned = 0;
-      for (size_t c : candidates) {
+      for (size_t position = 0; position < candidates.size(); ++position) {
         const core::InferenceEngine::LabelImpactPair both =
-            engine.SimulateLabelBoth(c, cache);
+            engine.SimulateLabelBoth(position, cache);
         pruned += both.positive.pruned_tuples + both.negative.pruned_tuples;
       }
       DoNotOptimize(pruned);
@@ -340,9 +353,8 @@ struct WorkCounts {
   /// SimulateLabelBoth evaluations one lookahead-entropy PickClass
   /// costs on the 10k instance: one per scored candidate.
   uint64_t simulate_calls_per_pick = 0;
-  /// Classes woken (watch-drained and exactly retested) per negative label
-  /// over a full 10k-instance session — the pre-watch scan visited the whole
-  /// worklist instead.
+  /// Classes retested per negative label (engine.watch_wakes, the worklist
+  /// each negative label's scan visits) over a full 10k-instance session.
   double woken_classes_per_negative_label = 0;
 };
 

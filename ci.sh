@@ -146,9 +146,10 @@ else
     --metrics-out="$smokedir/metrics.json" --trace \
     > "$smokedir/observed.txt" 2> "$smokedir/observed.err"
   diff "$smokedir/loaded.txt" "$smokedir/observed.txt"
-  # The family prefixes, plus the lookahead and watch work counters: a
-  # lookahead session must record its scored candidates and woken classes,
-  # or the per-pick instrumentation went silent.
+  # The family prefixes, plus the lookahead and propagation work counters:
+  # a lookahead session must record its scored candidates and the classes
+  # its negative labels retested (engine.watch_wakes), or the per-label
+  # instrumentation went silent.
   for prefix in '"engine.' '"exec.' '"storage.' \
       '"engine.simulate_label_both' '"engine.watch_wakes'; do
     if ! grep -qF "$prefix" "$smokedir/metrics.json"; then

@@ -55,9 +55,7 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const TupleStore> store,
     BuildClasses(pool);
     // Some tuples may be uninformative from the start (e.g. all-values-equal
     // tuples are selected by every predicate).
-    Propagate();
-    RebuildPairCover();
-    InitializeWatches();
+    Propagate(/*new_zone=*/nullptr);
   }
   JIM_COUNT(obs::kCounterEngineBuilds);
   JIM_COUNT_N(obs::kCounterEngineClassesBuilt, classes_->size());
@@ -172,60 +170,12 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
   knowledge_ = std::make_shared<std::vector<lat::Partition>>();
   knowledge_->reserve(classes->size());
   session_->informative.reserve(classes->size());
-  session_->worklist_pos.reserve(classes->size());
   for (size_t c = 0; c < classes->size(); ++c) {
     knowledge_->push_back((*classes)[c].partition);
     session_->informative.push_back(c);
-    session_->worklist_pos.push_back(static_cast<uint32_t>(c));
   }
-  session_->watch_pair.assign(classes->size(), kNoWatch);
-  session_->pair_watchers.resize(n * n);
   classes_ = std::move(classes);
   class_of_tuple_ = std::move(class_of_tuple);
-}
-
-void InferenceEngine::InitializeWatches() {
-  SessionArrays& session = *session_;
-  for (size_t c : session.informative) {
-    const lat::Partition& k = (*knowledge_)[c];
-    size_t wi = 0;
-    size_t wj = 0;
-    if (!k.FirstCoBlockPair(scratch_, &wi, &wj)) {
-      AttachWatch(session, c, kBottomWatch);
-    } else {
-      const uint32_t uncovered = UncoveredPairSlot(k);
-      AttachWatch(session, c,
-                  uncovered != kNoWatch
-                      ? uncovered
-                      : static_cast<uint32_t>(wi * k.num_elements() + wj));
-    }
-  }
-}
-
-uint32_t InferenceEngine::UncoveredPairSlot(const lat::Partition& k) const {
-  const size_t n = k.num_elements();
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (k.SameBlock(i, j) && pair_cover_[i * n + j] == 0) {
-        return static_cast<uint32_t>(i * n + j);
-      }
-    }
-  }
-  return kNoWatch;
-}
-
-void InferenceEngine::AttachWatch(SessionArrays& session, size_t class_id,
-                                  uint32_t slot) {
-  session.watch_pair[class_id] = slot;
-  if (slot == kBottomWatch) {
-    session.bottom_watchers.push_back(static_cast<uint32_t>(class_id));
-  } else {
-    session.pair_watchers[slot].push_back(static_cast<uint32_t>(class_id));
-  }
-}
-
-void InferenceEngine::RebuildPairCover() {
-  state_.negatives().FillPairCover(store_->num_attributes(), pair_cover_);
 }
 
 std::vector<lat::Partition>& InferenceEngine::MutableKnowledge() {
@@ -254,205 +204,60 @@ InferenceEngine::SessionArrays& InferenceEngine::MutableSession() {
   return *session_;
 }
 
-InferenceEngine::LabelImpact InferenceEngine::Propagate() {
+InferenceEngine::LabelImpact InferenceEngine::Propagate(
+    const lat::Partition* new_zone) {
   const lat::Partition& theta = state_.theta_p();
-  std::vector<size_t>& informative = session_->informative;
-  size_t out = 0;
-  LabelImpact pruned;
-  for (size_t c : informative) {
-    const lat::Partition& k = (*knowledge_)[c];
-    if (k == theta) {
-      session_->class_status[c] = ClassStatus::kForcedPositive;
-      session_->worklist_pos[c] = kNoPos;
-      ++pruned.pruned_classes;
-      pruned.pruned_tuples += (*classes_)[c].size();
-    } else if (state_.negatives().DominatedBy(k, scratch_)) {
-      session_->class_status[c] = ClassStatus::kForcedNegative;
-      session_->worklist_pos[c] = kNoPos;
-      ++pruned.pruned_classes;
-      pruned.pruned_tuples += (*classes_)[c].size();
-    } else {
-      session_->worklist_pos[c] = static_cast<uint32_t>(out);
-      informative[out++] = c;
-    }
-  }
-  informative.resize(out);
-  JIM_COUNT(obs::kCounterEnginePropagateRuns);
-  JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned.pruned_classes);
-  JIM_OBSERVE(obs::kHistEngineWorklistSize, out);
-  return pruned;
-}
-
-InferenceEngine::LabelImpact InferenceEngine::PropagateAfterPositive() {
-  const lat::Partition& theta = state_.theta_p();
-  const size_t n = store_->num_attributes();
-  // ApplyLabel restricted the antichain to the new θ_P — refresh the pair
-  // cover before using it for exemptions below.
-  RebuildPairCover();
-  // The in-place cache refresh below is the one mutation of K_c anywhere in
-  // the engine — detach from clone sharers first.
-  std::vector<lat::Partition>& knowledge = MutableKnowledge();
+  // A negative label leaves θ_P, and so every K_c, unchanged; otherwise the
+  // in-place refresh below is the one mutation of K_c anywhere in the engine
+  // — detach from clone sharers first.
+  std::vector<lat::Partition>& knowledge =
+      new_zone == nullptr ? MutableKnowledge() : *knowledge_;
   SessionArrays& session = *session_;
   std::vector<size_t>& informative = session.informative;
+  if (new_zone != nullptr) {
+    JIM_COUNT_N(obs::kCounterEngineWatchWakes, informative.size());
+  }
   size_t out = 0;
   LabelImpact pruned;
-  size_t exempt = 0;
   for (size_t c : informative) {
     lat::Partition& k = knowledge[c];
-    // The new θ_P refines the old, so meeting the *cached* knowledge with it
-    // is the full refresh: K ∧ θ' = (θ ∧ Part(c)) ∧ θ' = θ' ∧ Part(c).
-    k.MeetInto(theta, k, scratch_);
-    if (k == theta) {
-      session.class_status[c] = ClassStatus::kForcedPositive;
-      session.worklist_pos[c] = kNoPos;
-      session.watch_pair[c] = kNoWatch;
-      ++pruned.pruned_classes;
-      pruned.pruned_tuples += (*classes_)[c].size();
-      continue;
-    }
-    // Watch exemption: the class's watched pair is a co-block pair of the
-    // *old* K. If it survived the refresh (still co-block in the new K) and
-    // no antichain member merges it, then no member can dominate the new K —
-    // domination would require covering every co-block pair, this one
-    // included. The kBottomWatch sentinel never exempts: a singleton K is
-    // dominated by any nonempty antichain and must take the full scan.
-    const uint32_t wp = session.watch_pair[c];
-    const bool watch_alive =
-        wp == kBottomWatch
-            ? k.IsSingletons()
-            : wp != kNoWatch && k.SameBlock(wp / n, wp % n);
-    bool dominated;
-    if (watch_alive && wp != kBottomWatch && pair_cover_[wp] == 0) {
-      dominated = false;
-      ++exempt;
+    ClassStatus status = ClassStatus::kInformative;
+    if (new_zone != nullptr) {
+      if (k.RefinesWith(*new_zone, scratch_)) {
+        status = ClassStatus::kForcedNegative;
+      }
     } else {
-      dominated = state_.negatives().DominatedBy(k, scratch_);
-    }
-    if (dominated) {
-      session.class_status[c] = ClassStatus::kForcedNegative;
-      session.worklist_pos[c] = kNoPos;
-      session.watch_pair[c] = kNoWatch;
-      ++pruned.pruned_classes;
-      pruned.pruned_tuples += (*classes_)[c].size();
-      continue;
-    }
-    if (!watch_alive) {
-      // The refresh merged/split blocks out from under the watch — re-arm on
-      // a pair of the new K (uncovered preferred: it stays exempt next time).
-      size_t wi = 0;
-      size_t wj = 0;
-      if (!k.FirstCoBlockPair(scratch_, &wi, &wj)) {
-        AttachWatch(session, c, kBottomWatch);
-      } else {
-        const uint32_t uncovered = UncoveredPairSlot(k);
-        AttachWatch(session, c,
-                    uncovered != kNoWatch
-                        ? uncovered
-                        : static_cast<uint32_t>(wi * n + wj));
+      // The new θ_P refines the old, so meeting the *cached* knowledge with
+      // it is the full refresh: K ∧ θ' = (θ ∧ Part(c)) ∧ θ' = θ' ∧ Part(c).
+      k.MeetInto(theta, k, scratch_);
+      if (k == theta) {
+        status = ClassStatus::kForcedPositive;
+      } else if (state_.negatives().DominatedBy(k, scratch_)) {
+        status = ClassStatus::kForcedNegative;
       }
     }
-    session.worklist_pos[c] = static_cast<uint32_t>(out);
-    informative[out++] = c;
-  }
-  informative.resize(out);
-  JIM_COUNT_N(obs::kCounterEngineWatchExemptions, exempt);
-  JIM_COUNT(obs::kCounterEnginePropagateRuns);
-  JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned.pruned_classes);
-  JIM_OBSERVE(obs::kHistEngineWorklistSize, out);
-  return pruned;
-}
-
-InferenceEngine::LabelImpact InferenceEngine::PropagateAfterNegative(
-    const lat::Partition& forbidden) {
-  const size_t n = store_->num_attributes();
-  // ApplyLabel already inserted the forbidden zone, so the rebuilt cover is a
-  // superset of pairs(F) — any uncovered pair found below is provably not in
-  // F and safe to re-watch without re-waking this drain.
-  RebuildPairCover();
-  SessionArrays& session = *session_;
-  LabelImpact pruned;
-  size_t woken = 0;
-  // θ_P is unchanged, so the only new reason to leave the pool is the fresh
-  // forbidden zone F: a still-informative class is pruned iff K_c ≤ F. If
-  // K_c ≤ F then *every* co-block pair of K_c — its watched pair included —
-  // is co-block in F, so draining the watchers of F's pairs (plus the bottom
-  // list: a singleton K refines everything) wakes a superset of the prunable
-  // classes. Woken classes get the exact witness test; everyone else is
-  // untouched.
-  for (uint32_t c32 : session.bottom_watchers) {
-    const size_t c = c32;
-    if (session.watch_pair[c] != kBottomWatch) continue;  // stale entry
-    ++woken;
-    session.class_status[c] = ClassStatus::kForcedNegative;
-    session.worklist_pos[c] = kNoPos;
-    session.watch_pair[c] = kNoWatch;
+    if (status == ClassStatus::kInformative) {
+      informative[out++] = c;
+      continue;
+    }
+    session.class_status[c] = status;
     ++pruned.pruned_classes;
     pruned.pruned_tuples += (*classes_)[c].size();
   }
-  session.bottom_watchers.clear();
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (!forbidden.SameBlock(i, j)) continue;
-      const uint32_t slot = static_cast<uint32_t>(i * n + j);
-      std::vector<uint32_t>& watchers = session.pair_watchers[slot];
-      if (watchers.empty()) continue;
-      for (uint32_t c32 : watchers) {
-        const size_t c = c32;
-        if (session.watch_pair[c] != slot) continue;  // stale entry
-        ++woken;
-        const lat::Partition& k = (*knowledge_)[c];
-        size_t wi = 0;
-        size_t wj = 0;
-        if (!k.FindNonRefinementWitness(forbidden, scratch_, &wi, &wj)) {
-          session.class_status[c] = ClassStatus::kForcedNegative;
-          session.worklist_pos[c] = kNoPos;
-          session.watch_pair[c] = kNoWatch;
-          ++pruned.pruned_classes;
-          pruned.pruned_tuples += (*classes_)[c].size();
-          continue;
-        }
-        // Survivor: re-arm on a pair provably outside F so this drain cannot
-        // revisit it — the witness is co-block in K but not in F by
-        // construction, and any uncovered pair is outside every member.
-        const uint32_t uncovered = UncoveredPairSlot(k);
-        AttachWatch(session, c,
-                    uncovered != kNoWatch
-                        ? uncovered
-                        : static_cast<uint32_t>(wi * n + wj));
-      }
-      watchers.clear();
-    }
-  }
-  if (pruned.pruned_classes > 0) {
-    std::vector<size_t>& informative = session.informative;
-    size_t out = 0;
-    for (size_t c : informative) {
-      if (session.class_status[c] != ClassStatus::kInformative) continue;
-      session.worklist_pos[c] = static_cast<uint32_t>(out);
-      informative[out++] = c;
-    }
-    informative.resize(out);
-  }
-  JIM_COUNT_N(obs::kCounterEngineWatchWakes, woken);
+  informative.resize(out);
   JIM_COUNT(obs::kCounterEnginePropagateRuns);
   JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned.pruned_classes);
-  JIM_OBSERVE(obs::kHistEngineWorklistSize, session.informative.size());
+  JIM_OBSERVE(obs::kHistEngineWorklistSize, out);
   return pruned;
 }
 
 void InferenceEngine::RemoveFromWorklist(size_t class_id) {
-  SessionArrays& session = *session_;
-  std::vector<size_t>& informative = session.informative;
-  const uint32_t pos = session.worklist_pos[class_id];
-  JIM_CHECK(pos != kNoPos && pos < informative.size() &&
-            informative[pos] == class_id)
-      << "worklist position index out of sync for class " << class_id;
-  informative.erase(informative.begin() + pos);
-  for (size_t i = pos; i < informative.size(); ++i) {
-    session.worklist_pos[informative[i]] = static_cast<uint32_t>(i);
-  }
-  session.worklist_pos[class_id] = kNoPos;
-  session.watch_pair[class_id] = kNoWatch;
+  std::vector<size_t>& informative = session_->informative;
+  const auto it =
+      std::lower_bound(informative.begin(), informative.end(), class_id);
+  JIM_CHECK(it != informative.end() && *it == class_id)
+      << "class " << class_id << " is not on the worklist";
+  informative.erase(it);
 }
 
 size_t InferenceEngine::NumInformativeTuples() const {
@@ -567,9 +372,8 @@ util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
   // θ_P is unchanged by a negative label, so the labeled class's cached
   // knowledge is still exactly the antichain member ApplyLabel inserted (and
   // nothing on that path mutates knowledge_).
-  LabelImpact pruned = label == Label::kPositive
-                           ? PropagateAfterPositive()
-                           : PropagateAfterNegative((*knowledge_)[class_id]);
+  LabelImpact pruned = Propagate(
+      label == Label::kPositive ? nullptr : &(*knowledge_)[class_id]);
   if (impact != nullptr) {
     *impact = LabelImpact{pruned.pruned_classes + 1,
                           pruned.pruned_tuples + (*classes_)[class_id].size()};
@@ -719,15 +523,13 @@ void InferenceEngine::PrepareLookahead(LookaheadCache& cache) const {
 }
 
 InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
-    size_t class_id, const LookaheadCache& cache) const {
-  JIM_CHECK_LT(class_id, classes_->size());
-  JIM_CHECK(session_->class_status[class_id] == ClassStatus::kInformative);
+    size_t position, const LookaheadCache& cache) const {
   JIM_CHECK_EQ(cache.worklist_size, session_->informative.size())
       << "lookahead cache prepared for another worklist";
+  JIM_CHECK_LT(position, cache.worklist_size);
   const size_t pairs = cache.num_pairs;
   const size_t pair_words = cache.pair_words;
-  const uint64_t* labeled = cache.pair_bits.data() +
-                            session_->worklist_pos[class_id] * pair_words;
+  const uint64_t* labeled = cache.pair_bits.data() + position * pair_words;
   const uint64_t* const antichain = cache.antichain_bits.data();
   const uint64_t* const antichain_end = antichain + cache.antichain_bits.size();
   // The valid pairs of the last pair word; ¬L must not reach past them.
@@ -847,56 +649,6 @@ void InferenceEngine::CheckInvariants() const {
     if (is_informative) ++informative_count;
   }
   JIM_CHECK_EQ(informative_count, informative.size());
-
-  // Position index mirrors the worklist exactly; off-pool classes carry the
-  // sentinels.
-  const size_t n = store_->num_attributes();
-  JIM_CHECK_EQ(session_->worklist_pos.size(), num_classes);
-  JIM_CHECK_EQ(session_->watch_pair.size(), num_classes);
-  JIM_CHECK_EQ(session_->pair_watchers.size(), n * n);
-  for (size_t i = 0; i < informative.size(); ++i) {
-    JIM_CHECK_EQ(session_->worklist_pos[informative[i]],
-                 static_cast<uint32_t>(i))
-        << "worklist_pos out of sync at position " << i;
-  }
-  for (size_t c = 0; c < num_classes; ++c) {
-    const uint32_t wp = session_->watch_pair[c];
-    if (session_->class_status[c] != ClassStatus::kInformative) {
-      JIM_CHECK_EQ(session_->worklist_pos[c], kNoPos)
-          << "off-pool class " << c << " still has a worklist position";
-      JIM_CHECK_EQ(wp, kNoWatch)
-          << "off-pool class " << c << " still holds a watch";
-      continue;
-    }
-    const lat::Partition& k = (*knowledge_)[c];
-    const uint32_t c32 = static_cast<uint32_t>(c);
-    if (wp == kBottomWatch) {
-      JIM_CHECK(k.IsSingletons())
-          << "class " << c << " on the bottom list with non-singleton K";
-      JIM_CHECK(std::find(session_->bottom_watchers.begin(),
-                          session_->bottom_watchers.end(),
-                          c32) != session_->bottom_watchers.end())
-          << "class " << c << " bottom watch not registered";
-    } else {
-      JIM_CHECK(wp != kNoWatch) << "informative class " << c << " unwatched";
-      const size_t wi = wp / n;
-      const size_t wj = wp % n;
-      JIM_CHECK(wi < wj && wj < n) << "malformed watch slot " << wp;
-      JIM_CHECK(k.SameBlock(wi, wj))
-          << "class " << c << " watches (" << wi << "," << wj
-          << ") which is not co-block in its knowledge";
-      const std::vector<uint32_t>& watchers = session_->pair_watchers[wp];
-      JIM_CHECK(std::find(watchers.begin(), watchers.end(), c32) !=
-                watchers.end())
-          << "class " << c << " watch not registered on slot " << wp;
-    }
-  }
-  // The pair cover is exactly the current antichain's co-block pairs.
-  {
-    std::vector<uint8_t> expected;
-    state_.negatives().FillPairCover(n, expected);
-    JIM_CHECK(expected == pair_cover_) << "pair cover stale";
-  }
 
   // Per-class: cached knowledge fresh for informative classes, and every
   // non-explicit status reproducible from a from-scratch classification.

@@ -71,7 +71,11 @@ inline bool IsPositive(ClassStatus status) {
 /// The Join Inference Machine: drives the interactive scenario of the paper
 /// (Figure 2). Holds the instance, the inference state, and per-class
 /// bookkeeping; each accepted label triggers propagation that reclassifies
-/// (and effectively grays out) tuples that became uninformative.
+/// (and effectively grays out) tuples that became uninformative. That
+/// propagation is one scan over the informative classes: an instance over n
+/// attributes has at most Bell(n) classes (203 at n = 6), so retesting each
+/// against what the label changed is cheaper than maintaining an index of
+/// which classes a label can affect.
 ///
 /// The engine consumes the instance through the TupleStore seam: class
 /// construction (Part(t) for every tuple) runs on integer codes — a
@@ -99,7 +103,7 @@ class InferenceEngine {
 
   /// Copies are cheap clones: the class table and tuple → class map are
   /// shared outright (immutable), and both the per-class knowledge cache and
-  /// the session arrays (statuses, worklist, watch lists) are copy-on-write
+  /// the session arrays (statuses, worklist) are copy-on-write
   /// — a clone defers those costs until its first label, and then pays
   /// O(classes), never O(tuples): the only per-tuple session state, the
   /// explicitly labeled tuples, is a sorted list of O(labels) entries. This
@@ -198,8 +202,8 @@ class InferenceEngine {
 
   /// Labels (the representative tuple of) a class. When accepted and
   /// `impact` is non-null, stores what the label pruned: for an informative
-  /// class, exactly the matching answer of SimulateLabelBoth(class_id, …),
-  /// which the parity suites pin to a full state-copy rescan.
+  /// class, exactly the matching answer of SimulateLabelBoth at its worklist
+  /// position, which the parity suites pin to a full state-copy rescan.
   util::Status SubmitClassLabel(size_t class_id, Label label,
                                 LabelImpact* impact = nullptr);
 
@@ -241,10 +245,12 @@ class InferenceEngine {
   /// pair bitsets are re-derived from Partition::Pairs() and compared.
   void PrepareLookahead(LookaheadCache& cache) const;
 
-  /// The lookahead kernel: both answers' impacts of labeling informative
-  /// class c — what a copy of the state with that label applied would move
-  /// out of the pool, which the parity suites pin to exactly that naive
-  /// rescan (tests/core/naive_lookahead.h). With L = pairs(K_c), every
+  /// The lookahead kernel: both answers' impacts of labeling the informative
+  /// class c at worklist position `position` (c = InformativeClasses()
+  /// [position]; candidates are addressed by position because the cache is
+  /// indexed that way) — what a copy of the state with that label applied
+  /// would move out of the pool, which the parity suites pin to exactly that
+  /// naive rescan (tests/core/naive_lookahead.h). With L = pairs(K_c), every
   /// still-informative class d (c included) is counted from the cache's
   /// slices, one worklist word at a time:
   ///   negative answer: the new forbidden zone is K_c, so d is pruned iff
@@ -263,7 +269,7 @@ class InferenceEngine {
   /// each call adds one to engine.simulate_label_both. One code path serves
   /// every pair and worklist width. Reads only the engine and `cache`, so
   /// any number of threads may score candidates of one engine concurrently.
-  LabelImpactPair SimulateLabelBoth(size_t class_id,
+  LabelImpactPair SimulateLabelBoth(size_t position,
                                     const LookaheadCache& cache) const;
 
   /// True iff p1 and p2 select exactly the same tuples of the instance —
@@ -300,11 +306,6 @@ class InferenceEngine {
   ///     every class matches a fresh InferenceState::Classify;
   ///   - the labeled-tuple list is exactly the tuples of history(), and every
   ///     history label agrees with its class's kLabeled* status;
-  ///   - the worklist position index matches the worklist, every informative
-  ///     class is validly watched (a co-block pair of its K_c, or the bottom
-  ///     list exactly when K_c is all singletons) and registered on the
-  ///     matching watcher list, and the pair cover equals a from-scratch
-  ///     recompute over the antichain;
   ///   - the copy-on-write holders are attached and correctly sized.
   /// O(classes · (n² + antichain)); tests call it directly, and every
   /// construction/labeling runs it under JIM_AUDIT (the parity suites and
@@ -312,39 +313,14 @@ class InferenceEngine {
   void CheckInvariants() const;
 
  private:
-  /// Watch-slot sentinels (values of SessionArrays::watch_pair). Real slots
-  /// encode an attribute pair (i, j), i < j, as i * n + j.
-  static constexpr uint32_t kNoWatch = 0xFFFFFFFFu;
-  /// Classes whose knowledge is all-singletons watch "bottom": a singleton
-  /// partition refines every forbidden zone, so any negative label prunes
-  /// them — they live on one shared list instead of a pair slot.
-  static constexpr uint32_t kBottomWatch = 0xFFFFFFFEu;
-  /// Worklist-position sentinel for classes not on the worklist.
-  static constexpr uint32_t kNoPos = 0xFFFFFFFFu;
-
   /// The flat per-class session arrays, grouped under one copy-on-write
   /// holder so a clone shares them until its first accepted label (an engine
   /// copy is then shared_ptr bumps, not vector copies).
   struct SessionArrays {
     std::vector<ClassStatus> class_status;
-    /// Ids of informative classes, ascending — the dense worklist the
-    /// Propagate variants scan and compact.
+    /// Ids of informative classes, ascending — the dense worklist that
+    /// Propagate scans and compacts.
     std::vector<size_t> informative;
-    /// Position of each class in `informative` (kNoPos once it left the
-    /// pool): O(1) locate for RemoveFromWorklist, maintained for free by the
-    /// compaction loops.
-    std::vector<uint32_t> worklist_pos;
-    /// Watch structure for negative-label propagation: every informative
-    /// class is registered on exactly one certificate that must break before
-    /// the class can leave the pool on a negative label — a co-block pair of
-    /// its (fresh) K_c, or the shared bottom list when K_c is all
-    /// singletons. `watch_pair[c]` is that slot (or kNoWatch off-pool);
-    /// `pair_watchers[slot]` / `bottom_watchers` hold the per-slot class
-    /// lists, with lazy deletion (an entry is live only while watch_pair
-    /// still points at the slot).
-    std::vector<uint32_t> watch_pair;
-    std::vector<std::vector<uint32_t>> pair_watchers;
-    std::vector<uint32_t> bottom_watchers;
   };
 
   void BuildClasses(exec::ThreadPool* pool);
@@ -354,49 +330,23 @@ class InferenceEngine {
   util::Status LabelImpl(size_t class_id, size_t tuple_index, Label label,
                          LabelImpact* impact);
 
-  /// Reclassification after a state change, over the dense worklist of
-  /// still-informative classes only (uninformativeness is monotone, so
-  /// settled classes are never revisited). Each variant compacts the
-  /// worklist in place and returns the classes/tuples that left the pool.
-  /// Callers must hold the session arrays uniquely (constructor, or
-  /// LabelImpl after MutableSession).
+  /// Reclassification after a state change: one scan over the dense
+  /// worklist of still-informative classes (uninformativeness is monotone,
+  /// so settled classes are never revisited), compacting it in place.
+  /// Returns the classes/tuples that left the pool. Callers must hold the
+  /// session arrays uniquely (constructor, or LabelImpl after
+  /// MutableSession).
   ///
-  /// Full variant (construction): classifies each worklist class from its
-  /// cached knowledge.
-  LabelImpact Propagate();
-  /// After a positive label: θ_P shrank to the labeled class's knowledge, so
-  /// each cache entry is refreshed in place (K_c ← K_c ∧ θ_P) and the class
-  /// re-tested — forced positive iff K_c == θ_P (one fingerprint compare in
-  /// the common case), else forced negative iff K_c is in a forbidden zone.
-  LabelImpact PropagateAfterPositive();
-  /// After a negative label: θ_P and the cache are untouched; the only new
-  /// way out of the pool is the fresh forbidden zone. Instead of rescanning
-  /// the worklist, this drains exactly the watch lists of `forbidden`'s
-  /// co-block pairs (plus the bottom list): a class whose watched pair is
-  /// split in `forbidden` provably cannot refine it, so only the woken
-  /// classes take the full K_c ≤ `forbidden` test; woken survivors
-  /// re-register on a non-refinement witness pair.
-  LabelImpact PropagateAfterNegative(const lat::Partition& forbidden);
-  /// Drops `class_id` from the worklist (on explicit labeling) via its
-  /// position index — no scan.
+  /// After a negative label, `new_zone` is the labeled class's K_c, the
+  /// forbidden zone just added: θ_P and every older zone are unchanged, so a
+  /// class leaves the pool iff K_c ≤ `new_zone` (one RefinesWith each).
+  /// Otherwise (construction, or a positive label shrank θ_P; `new_zone` is
+  /// nullptr) each cache entry is refreshed in place, K_c ← K_c ∧ θ_P, and
+  /// the class is forced positive iff K_c == θ_P, else forced negative iff
+  /// the antichain dominates K_c.
+  LabelImpact Propagate(const lat::Partition* new_zone);
+  /// Drops `class_id` from the worklist (on explicit labeling).
   void RemoveFromWorklist(size_t class_id);
-
-  /// Registers every informative class on its watch certificate (a co-block
-  /// pair of K_c, or the bottom list). Construction-time only; labeling
-  /// keeps watches current incrementally.
-  void InitializeWatches();
-  /// First co-block pair of `k` outside pair_cover_, encoded as a slot;
-  /// kNoWatch when every co-block pair is covered (or `k` is singletons).
-  /// Preferring uncovered pairs maximizes the positive-propagation
-  /// exemptions AND (the cover contains every pair of the newest forbidden
-  /// zone) guarantees a negative-drain re-watch never lands on a slot still
-  /// being drained.
-  uint32_t UncoveredPairSlot(const lat::Partition& k) const;
-  /// Points `class_id`'s watch at `slot` (a pair slot or kBottomWatch) and
-  /// appends it to the matching watcher list.
-  void AttachWatch(SessionArrays& session, size_t class_id, uint32_t slot);
-  /// Recomputes pair_cover_ from the current antichain. O(|A| · n²).
-  void RebuildPairCover();
 
   /// Detaches knowledge_ from any sharers (copy-on-first-mutate) and returns
   /// the sole-owner vector. Everything that writes K_c goes through here.
@@ -421,12 +371,6 @@ class InferenceEngine {
   /// fan batches of sessions out over clones (exec::BatchSessionRunner).
   /// Negative-only histories never pay for a copy at all.
   std::shared_ptr<std::vector<lat::Partition>> knowledge_;
-  /// Pair cover of the current antichain (see Antichain::FillPairCover),
-  /// sized n·n: pair_cover_[i*n+j] == 1 iff (i, j) is co-block in some
-  /// forbidden-zone member. Derived purely from state_, so it is a plain
-  /// value member (copied with the engine, not COW) rebuilt after every
-  /// accepted label.
-  std::vector<uint8_t> pair_cover_;
   /// Scratch state for the allocation-free propagation kernels. Copying an
   /// engine copies only warmed capacity, never live data.
   lat::PartitionScratch scratch_;

@@ -156,11 +156,14 @@ std::vector<double> LookaheadStrategy::Score(
   std::vector<double> scores(n, -std::numeric_limits<double>::infinity());
   InferenceEngine::LookaheadCache cache;
   engine.PrepareLookahead(cache);
-  // Sampled candidate j lands on worklist slot j*n/cap.
+  // Sampled candidate j lands on worklist slot j*n/cap. Candidates are the
+  // worklist (PickClass/TopK pass InformativeClasses()), so slot i is also
+  // the candidate's position in the cache.
+  JIM_CHECK_EQ(n, cache.worklist_size);
   for (size_t j = 0; j < cap; ++j) {
     const size_t i = j * n / cap;
     const InferenceEngine::LabelImpactPair both =
-        engine.SimulateLabelBoth(candidates[i], cache);
+        engine.SimulateLabelBoth(i, cache);
     scores[i] =
         Aggregate(both.positive.pruned_tuples, both.negative.pruned_tuples);
   }

@@ -124,27 +124,9 @@ class Partition {
                 PartitionScratch& scratch) const;
 
   /// Allocation-free Refines: same result, but the block-image table lives in
-  /// `scratch`. The hot predicate of DominatedBy scans.
+  /// `scratch`. The hot predicate of DominatedBy scans and of the engine's
+  /// negative-label propagation.
   bool RefinesWith(const Partition& other, PartitionScratch& scratch) const;
-
-  /// Non-refinement witness: finds a pair (i, j), i < j, that is co-block in
-  /// *this but split in `other` — exactly the certificate that *this does NOT
-  /// refine `other`. Returns false (leaving *wi/*wj untouched) when *this ≤
-  /// other, i.e. when no witness exists. Allocation-free (the per-block
-  /// representative table lives in `scratch`); O(n). This is what the
-  /// engine's watch-based propagation re-registers on: as long as the
-  /// watched pair stays split in a forbidden zone, the owning class provably
-  /// cannot fall into it.
-  bool FindNonRefinementWitness(const Partition& other,
-                                PartitionScratch& scratch, size_t* wi,
-                                size_t* wj) const;
-
-  /// First co-block pair (i, j), i < j, in element order — the cheapest
-  /// watchable certificate that this partition carries at least one equality
-  /// constraint. Returns false iff all blocks are singletons. O(n),
-  /// allocation-free via `scratch`.
-  bool FirstCoBlockPair(PartitionScratch& scratch, size_t* wi,
-                        size_t* wj) const;
 
   /// True iff `*this ∧ other == *this` — the forced-positive test
   /// θ_P ∧ Part(t) == θ_P — without materializing the meet. By lattice

@@ -37,15 +37,11 @@ inline constexpr char kCounterEngineSimulateLabelBoth[] =
 /// Kept only because jimbench/src/layers.cc still reads it (its
 /// engine.cutoff_skips_per_pick and engine.cutoff_useful_frac rows read 0).
 inline constexpr char kCounterEngineCutoffSkips[] = "engine.cutoff_skips";
-/// Classes woken (watch-list drained and fully retested) by a negative-label
-/// propagation. The watch win is this number staying far below the worklist
-/// size the pre-watch scan visited.
+/// Classes a negative-label propagation retests: the whole worklist left
+/// after the labeled class is removed, each tested once against the new
+/// forbidden zone. (The name predates the single scan, when only the classes
+/// on a watch list were woken; benches and ci.sh read it by this name.)
 inline constexpr char kCounterEngineWatchWakes[] = "engine.watch_wakes";
-/// Worklist classes whose antichain DominatedBy scan was skipped during a
-/// positive-label propagation because their watched pair survived the
-/// knowledge refresh and is covered by no antichain member.
-inline constexpr char kCounterEngineWatchExemptions[] =
-    "engine.watch_exemptions";
 /// Copy-on-write detaches: one per real copy of an engine's session arrays
 /// or knowledge cache (a clone's first accepted label, and its first
 /// positive one). A daemon session pays at most one of each, however many

@@ -25,6 +25,13 @@ uint64_t SessionIdNumber(const std::string& session_id) {
   return static_cast<uint64_t>(*parsed);
 }
 
+/// What Label and Create return for a session Close removed while they
+/// waited for its mutex: the same code as a lookup that finds no session.
+util::Status ClosedError(const std::string& session_id) {
+  return util::NotFoundError(
+      util::StrFormat("session '%s' was closed", session_id.c_str()));
+}
+
 }  // namespace
 
 SessionManager::SessionManager(ServeOptions options)
@@ -130,6 +137,7 @@ util::StatusOr<SessionManager::CreateResult> SessionManager::Create(
   // create either exists durably or not at all.
   {
     std::lock_guard<std::mutex> session_lock(session->mutex);
+    if (session->closed) return ClosedError(session_id);
     util::Status persisted = PersistSession(*session);
     if (!persisted.ok()) {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -192,6 +200,7 @@ util::StatusOr<SessionManager::LabelResult> SessionManager::Label(
   JIM_SPAN(obs::kHistServeLabelMicros);
   ASSIGN_OR_RETURN(std::shared_ptr<Session> session, FindSession(session_id));
   std::lock_guard<std::mutex> lock(session->mutex);
+  if (session->closed) return ClosedError(session_id);
   if (session->engine.IsDone()) {
     return util::FailedPreconditionError(
         util::StrFormat("session '%s' is done", session_id.c_str()));
@@ -282,6 +291,7 @@ util::StatusOr<SessionManager::ResultReply> SessionManager::Result(
 }
 
 util::Status SessionManager::Close(const std::string& session_id) {
+  std::shared_ptr<Session> session;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = sessions_.find(session_id);
@@ -289,11 +299,18 @@ util::Status SessionManager::Close(const std::string& session_id) {
       return util::NotFoundError(
           util::StrFormat("no session '%s'", session_id.c_str()));
     }
+    session = std::move(it->second);
     sessions_.erase(it);
     UpdateLiveGauge();
   }
   closed_.fetch_add(1, std::memory_order_relaxed);
   JIM_COUNT(obs::kCounterServeSessionsClosed);
+  // A Label or Create that found the session before the erase may be inside
+  // PersistSession; its rename would put the file back after the removal
+  // below. Taking the session's mutex waits it out, and the flag turns away
+  // any that take the mutex later.
+  std::lock_guard<std::mutex> session_lock(session->mutex);
+  session->closed = true;
   if (!options_.checkpoint_dir.empty()) {
     std::string path =
         options_.checkpoint_dir + "/" + CheckpointFileName(session_id);

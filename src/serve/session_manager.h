@@ -136,7 +136,9 @@ class SessionManager {
   };
   util::StatusOr<ResultReply> Result(const std::string& session_id);
 
-  /// Removes the session and its checkpoint file.
+  /// Removes the session and its checkpoint file. Waits for a Label or
+  /// Create of the session already persisting, so no checkpoint write can
+  /// land after the removal and bring the session back at restart.
   util::Status Close(const std::string& session_id);
 
   struct Stats {
@@ -168,6 +170,10 @@ class SessionManager {
     /// accepted label, so the pick is pending until the next label).
     bool has_pending_pick = false;
     size_t pending_pick = 0;
+    /// Set by Close, under `mutex`, before it removes the checkpoint file.
+    /// A Label or Create that takes `mutex` afterwards returns kNotFound
+    /// instead of writing the file back.
+    bool closed = false;
 
     Session(const core::InferenceEngine& prototype,
             std::unique_ptr<core::Strategy> strategy_in)

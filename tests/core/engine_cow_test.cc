@@ -114,8 +114,8 @@ TEST(EngineCowTest, CloneSharesSessionArraysUntilFirstLabel) {
   const InferenceEngine prototype(workload.instance);
   InferenceEngine clone = prototype;
 
-  // The flat session arrays (worklist, statuses, watch lists) are shared
-  // by address, like the class table — EngineCopy is pointer bumps only.
+  // The flat session arrays (worklist, statuses) are shared by address,
+  // like the class table — EngineCopy is pointer bumps only.
   EXPECT_EQ(&clone.InformativeClasses(), &prototype.InformativeClasses());
 
   // Any label — even a negative one, which never touches the knowledge
@@ -172,7 +172,8 @@ TEST(EngineCowTest, SiblingClonesAreIndependent) {
   // naive reference (the caches of a/b diverged, the prototype's did not).
   InferenceEngine::LookaheadCache cache;
   prototype.PrepareLookahead(cache);
-  const auto both = prototype.SimulateLabelBoth(c, cache);
+  // AnyInformative picked the worklist's front: position 0.
+  const auto both = prototype.SimulateLabelBoth(0, cache);
   const auto naive = NaiveSimulateLabelBoth(prototype, c);
   EXPECT_EQ(both.positive.pruned_tuples, naive.positive.pruned_tuples);
   EXPECT_EQ(both.negative.pruned_tuples, naive.negative.pruned_tuples);

@@ -94,18 +94,25 @@ void ExpectStatusesMatchFreshState(const InferenceEngine& engine) {
 }
 
 TEST(IncrementalParityTest, CachedClassificationMatchesFreshStateReplay) {
+  // Wider instances too: at 8 attributes the knowledge partitions carry far
+  // more co-block pairs than at 5, and at 12 the 66 attribute pairs need two
+  // pair words.
   util::Rng rng(11);
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    const auto workload = MakeWorkload(seed, 120, 5);
-    InferenceEngine engine(workload.instance);
-    ExpectStatusesMatchFreshState(engine);
-    while (!engine.IsDone()) {
-      const std::vector<size_t>& informative = engine.InformativeClasses();
-      const size_t cls = rng.PickOne(informative);
-      const Label label =
-          rng.UniformInt(0, 1) == 0 ? Label::kPositive : Label::kNegative;
-      ASSERT_TRUE(engine.SubmitClassLabel(cls, label).ok());
+  for (const size_t attributes : {5u, 8u, 12u}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE("attributes=" + std::to_string(attributes) +
+                   " seed=" + std::to_string(seed));
+      const auto workload = MakeWorkload(seed, 120, attributes);
+      InferenceEngine engine(workload.instance);
       ExpectStatusesMatchFreshState(engine);
+      while (!engine.IsDone()) {
+        const std::vector<size_t>& informative = engine.InformativeClasses();
+        const size_t cls = rng.PickOne(informative);
+        const Label label =
+            rng.UniformInt(0, 1) == 0 ? Label::kPositive : Label::kNegative;
+        ASSERT_TRUE(engine.SubmitClassLabel(cls, label).ok());
+        ExpectStatusesMatchFreshState(engine);
+      }
     }
   }
 }
@@ -120,9 +127,9 @@ TEST(IncrementalParityTest, SimulateLabelBothMatchesTwoSimulateLabelCalls) {
       const std::vector<size_t> informative = engine.InformativeClasses();
       InferenceEngine::LookaheadCache cache;
       engine.PrepareLookahead(cache);
-      for (size_t cls : informative) {
-        const auto both = engine.SimulateLabelBoth(cls, cache);
-        const auto naive = NaiveSimulateLabelBoth(engine, cls);
+      for (size_t position = 0; position < informative.size(); ++position) {
+        const auto both = engine.SimulateLabelBoth(position, cache);
+        const auto naive = NaiveSimulateLabelBoth(engine, informative[position]);
         EXPECT_EQ(both.positive.pruned_classes, naive.positive.pruned_classes);
         EXPECT_EQ(both.positive.pruned_tuples, naive.positive.pruned_tuples);
         EXPECT_EQ(both.negative.pruned_classes, naive.negative.pruned_classes);
@@ -146,12 +153,14 @@ TEST(IncrementalParityTest, SimulatedImpactMatchesActualSubmission) {
     while (!engine.IsDone()) {
       const std::vector<size_t> informative = engine.InformativeClasses();
       const size_t before = engine.NumInformativeTuples();
-      const size_t cls = rng.PickOne(informative);
+      const size_t position = static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(informative.size()) - 1));
+      const size_t cls = informative[position];
       const Label label =
           rng.UniformInt(0, 1) == 0 ? Label::kPositive : Label::kNegative;
       InferenceEngine::LookaheadCache cache;
       engine.PrepareLookahead(cache);
-      const auto both = engine.SimulateLabelBoth(cls, cache);
+      const auto both = engine.SimulateLabelBoth(position, cache);
       const auto predicted =
           label == Label::kPositive ? both.positive : both.negative;
       ASSERT_TRUE(engine.SubmitClassLabel(cls, label).ok());

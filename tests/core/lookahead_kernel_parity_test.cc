@@ -152,8 +152,10 @@ void ExpectKernelMatchesNaive(const InferenceEngine& engine,
   InferenceEngine::LookaheadCache cache;
   engine.PrepareLookahead(cache);
   ASSERT_EQ(cache.worklist_size, engine.InformativeClasses().size());
-  for (size_t c : engine.InformativeClasses()) {
-    ExpectImpactsEqual(engine.SimulateLabelBoth(c, cache),
+  const std::vector<size_t>& informative = engine.InformativeClasses();
+  for (size_t position = 0; position < informative.size(); ++position) {
+    const size_t c = informative[position];
+    ExpectImpactsEqual(engine.SimulateLabelBoth(position, cache),
                        NaiveSimulateLabelBoth(engine, c),
                        context + " class=" + std::to_string(c));
   }
@@ -370,7 +372,7 @@ TEST(LookaheadKernelParityTest, EditedCacheMatchesSetFormula) {
       const size_t c = informative[position];
       const std::string context = "attrs=" + std::to_string(attrs) +
                                   " class=" + std::to_string(c);
-      ExpectImpactsEqual(engine.SimulateLabelBoth(c, prepared),
+      ExpectImpactsEqual(engine.SimulateLabelBoth(position, prepared),
                          NaiveSetFormula(engine, prepared, position),
                          context);
       // One more zone, equal to L: it contains L, so L∖m is empty.
@@ -379,7 +381,7 @@ TEST(LookaheadKernelParityTest, EditedCacheMatchesSetFormula) {
       superset.antichain_bits.insert(superset.antichain_bits.end(), labeled,
                                      labeled + words);
       const InferenceEngine::LabelImpactPair both =
-          engine.SimulateLabelBoth(c, superset);
+          engine.SimulateLabelBoth(position, superset);
       ExpectImpactsEqual(both, NaiveSetFormula(engine, superset, position),
                          context + " m=L");
       EXPECT_EQ(both.positive.pruned_classes, informative.size()) << context;
@@ -390,7 +392,7 @@ TEST(LookaheadKernelParityTest, EditedCacheMatchesSetFormula) {
       full.pair_bits[p / 64] |= uint64_t{1} << (p % 64);
       full.pair_slices[p] |= 1;
     }
-    ExpectImpactsEqual(engine.SimulateLabelBoth(informative.front(), full),
+    ExpectImpactsEqual(engine.SimulateLabelBoth(0, full),
                        NaiveSetFormula(engine, full, 0),
                        "attrs=" + std::to_string(attrs) + " L=all");
   }

@@ -23,7 +23,7 @@ namespace {
 
 // Like the parity suites, run with the invariant auditor on: every
 // JIM_AUDIT checkpoint (engine construction and labeling) re-derives the
-// watch/worklist/pair-cover contracts while these assertions run.
+// worklist and knowledge-cache contracts while these assertions run.
 const bool kAuditInvariantsOn = [] {
   ::jim::util::SetAuditInvariants(true);
   return true;

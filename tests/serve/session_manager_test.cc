@@ -10,15 +10,19 @@
 
 #include "serve/session_manager.h"
 
+#include <condition_variable>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/jim.h"
 #include "gtest/gtest.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "storage/env.h"
 #include "storage/fault_env.h"
 #include "util/bitset.h"
 #include "util/string_util.h"
@@ -311,6 +315,121 @@ TEST(SessionManagerTest, CloseRemovesTheCheckpoint) {
   auto recovered = MakeManager(options);
   ASSERT_TRUE(recovered->RecoverSessions().ok());
   EXPECT_EQ(recovered->GetStats().live, 0u);
+}
+
+/// The default Env, except that once armed, the next RenameReplacing
+/// announces itself and then blocks until Release(): a checkpoint write held
+/// between its temp file and the rename that publishes it.
+class LatchedRenameEnv final : public storage::Env {
+ public:
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    armed_ = true;
+  }
+  void WaitUntilRenaming() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [this] { return renaming_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    changed_.notify_all();
+  }
+
+  util::Status RenameReplacing(const std::string& from,
+                               const std::string& to) override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (armed_) {
+        armed_ = false;
+        renaming_ = true;
+        changed_.notify_all();
+        changed_.wait(lock, [this] { return released_; });
+      }
+    }
+    return base_->RenameReplacing(from, to);
+  }
+  util::StatusOr<std::unique_ptr<storage::WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    return base_->NewWritableFile(path);
+  }
+  util::StatusOr<std::string> ReadFileToString(
+      const std::string& path) override {
+    return base_->ReadFileToString(path);
+  }
+  util::StatusOr<std::unique_ptr<storage::ReadRegion>> MapReadOnly(
+      const std::string& path) override {
+    return base_->MapReadOnly(path);
+  }
+  util::StatusOr<uint64_t> FileSize(const std::string& path) override {
+    return base_->FileSize(path);
+  }
+  util::Status SyncDirectory(const std::string& dir) override {
+    return base_->SyncDirectory(dir);
+  }
+  util::StatusOr<std::vector<std::string>> ListDirectory(
+      const std::string& dir) override {
+    return base_->ListDirectory(dir);
+  }
+  util::Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  util::Status CreateDirectories(const std::string& dir) override {
+    return base_->CreateDirectories(dir);
+  }
+  void SleepForMicros(uint64_t micros) override {
+    base_->SleepForMicros(micros);
+  }
+
+ private:
+  storage::Env* const base_ = storage::DefaultEnv();
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  bool armed_ = false;
+  bool renaming_ = false;
+  bool released_ = false;
+};
+
+TEST(SessionManagerTest, CloseDuringACheckpointWriteStaysClosedAtRestart) {
+  // A label's checkpoint write is held just before its rename while Close
+  // runs. Whatever the interleaving, a closed session must not come back:
+  // the rename may not land after Close removed the file.
+  const std::string dir = FreshDir("close_race");
+  LatchedRenameEnv env;
+  ServeOptions options;
+  options.env = &env;
+  options.checkpoint_dir = dir;
+  auto manager = MakeManager(options);
+  auto created = manager->Create("", "random", "", 1, 0);
+  ASSERT_TRUE(created.ok()) << created.status();
+  const std::string id = created->session_id;
+  auto suggested = manager->Suggest(id);
+  ASSERT_TRUE(suggested.ok() && !suggested->done);
+
+  env.Arm();
+  util::StatusOr<SessionManager::LabelResult> labeled =
+      util::InternalError("label never ran");
+  std::thread label_thread(
+      [&] { labeled = manager->Label(id, suggested->class_id, false); });
+  env.WaitUntilRenaming();
+  util::Status closed = util::InternalError("close never ran");
+  std::thread close_thread([&] { closed = manager->Close(id); });
+  // Close has unlisted the session (it may now wait for the label).
+  while (manager->GetStats().live != 0) std::this_thread::yield();
+  env.Release();
+  label_thread.join();
+  close_thread.join();
+  // The label was already persisting when Close began, so it completes.
+  EXPECT_TRUE(labeled.ok()) << labeled.status();
+  EXPECT_TRUE(closed.ok()) << closed;
+  EXPECT_FALSE(std::filesystem::exists(dir + "/" + CheckpointFileName(id)));
+
+  ServeOptions reopen_options;
+  reopen_options.checkpoint_dir = dir;
+  auto recovered = MakeManager(reopen_options);
+  ASSERT_TRUE(recovered->RecoverSessions().ok());
+  EXPECT_EQ(recovered->GetStats().live, 0u);
+  EXPECT_EQ(recovered->GetStats().recovered, 0u);
 }
 
 TEST(SessionManagerTest, RecoveryFailsLoudOnCorruptCheckpoint) {
