@@ -10,9 +10,10 @@
 #                        with JIM_METRICS=1, CLI transcripts diffed with
 #                        metrics + tracing on vs off, and the emitted
 #                        snapshot checked for engine/exec/storage metrics
-#   - TSAN stage         parallel exec + parity suites plus the concurrent
-#                        metrics-registry test under -DJIM_SANITIZE=thread,
-#                        plus a guard that every tsan.supp suppression still
+#   - TSAN stage         parallel exec + parity suites, the concurrent
+#                        metrics-registry test and the serving suites
+#                        (sessions racing on an instance's shared first
+#                        picks) under -DJIM_SANITIZE=thread, plus a guard that every tsan.supp suppression still
 #                        matches a symbol the instrumented binaries
 #                        actually reference
 #   - ASAN stage         columnar storage/ingest suites plus the lookahead
@@ -36,7 +37,8 @@
 #                        instance
 #   - audit stage        -DJIM_AUDIT_INVARIANTS=ON build running the parity
 #                        suites with every engine mutation re-deriving its
-#                        CheckInvariants contract
+#                        CheckInvariants contract, and the session-manager
+#                        suite with every shared first pick recomputed
 #   - clang-tidy stage   advisory, opt-in via JIM_RUN_CLANG_TIDY=1
 #
 # Every stage selects its suites through run_ctest, which fails when an
@@ -133,8 +135,8 @@ diff "$smokedir/saved.txt" "$smokedir/loaded.txt"
 #      stderr or the snapshot file);
 #   3. the emitted snapshot actually contains engine, exec, and storage
 #      metrics for a --load-instance session, and a daemon session's
-#      engine.cow_detaches — instrumentation that silently stops recording
-#      is a failure, not a quiet degrade.
+#      engine.cow_detaches and serve.picks.shared — instrumentation that
+#      silently stops recording is a failure, not a quiet degrade.
 if [[ "${JIM_SKIP_OBS:-0}" == "1" ]]; then
   warn_skip "JIM_SKIP_OBS=1" "OBS"
 else
@@ -161,17 +163,34 @@ else
   grep -qF '"steps"' "$smokedir/observed.err"
   # A daemon session labels its engine in place: its one copy-on-write
   # detach must show up in the snapshot, or the work counter went silent.
+  # The second of two fresh lookahead sessions reads the instance's shared
+  # root pick: serve.picks.shared must be recorded, and both suggest replies
+  # (lines 6 and 7) must name the same class.
   printf '%s\n' '{"verb":"create","strategy":"random","seed":1}' \
       '{"verb":"suggest","session":"s1"}' \
       '{"verb":"label","session":"s1","class":0,"answer":true}' \
+      '{"verb":"create","strategy":"lookahead-entropy"}' \
+      '{"verb":"create","strategy":"lookahead-entropy"}' \
+      '{"verb":"suggest","session":"s2"}' \
+      '{"verb":"suggest","session":"s3"}' \
       '{"verb":"shutdown"}' | \
     ./build/jim_cli serve --stdio \
       --load-instance="$smokedir/flights.jimc" \
       --metrics-out="$smokedir/serve_metrics.json" \
       > "$smokedir/serve_observed.txt" 2> "$smokedir/serve_observed.err"
-  if ! grep -qF '"engine.cow_detaches"' "$smokedir/serve_metrics.json"; then
-    echo "ERROR: metrics snapshot is missing engine.cow_detaches —" \
-      "instrumentation went silent" >&2
+  for metric in '"engine.cow_detaches"' '"serve.picks.shared"'; do
+    if ! grep -qF "$metric" "$smokedir/serve_metrics.json"; then
+      echo "ERROR: metrics snapshot is missing ${metric} —" \
+        "instrumentation went silent" >&2
+      exit 1
+    fi
+  done
+  mapfile -t root_picks < <(sed -n '6,7p' "$smokedir/serve_observed.txt" | \
+    grep -oE '"class":[0-9]+')
+  if [[ "${#root_picks[@]}" != "2" || \
+        "${root_picks[0]}" != "${root_picks[1]}" ]]; then
+    echo "ERROR: two fresh lookahead-entropy sessions suggested" \
+      "'${root_picks[*]}' — their root picks must be one class" >&2
     exit 1
   fi
 fi
@@ -189,7 +208,8 @@ else
     exec_thread_pool_test exec_batch_runner_test \
     core_lookahead_parity_test core_speculation_test \
     core_engine_cow_test core_encoded_parity_test relational_dictionary_test \
-    core_tuple_store_test query_query_test obs_metrics_test
+    core_tuple_store_test query_query_test obs_metrics_test \
+    serve_session_manager_test serve_server_e2e_test
   # Stale-suppression guard: every race: pattern in tsan.supp must still
   # match a symbol some instrumented test binary references (nm -C), or the
   # suppression is dead weight hiding future real races — remove it.
@@ -204,7 +224,7 @@ else
     fi
   done
   run_ctest build-tsan \
-    'ThreadPool|BatchSessionRunner|LookaheadParity|Speculation|EngineCow|EncodedParity|ParallelEncode|ParallelIngest|UniversalTable|Catalog|MetricsTest' \
+    'ThreadPool|BatchSessionRunner|LookaheadParity|Speculation|EngineCow|EncodedParity|ParallelEncode|ParallelIngest|UniversalTable|Catalog|MetricsTest|SessionManager|ServerE2E' \
     TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp ${TSAN_OPTIONS:-}"
 fi
 
@@ -311,8 +331,10 @@ else
     core_incremental_parity_test lattice_kernel_parity_test \
     core_lookahead_kernel_parity_test \
     query_factorized_parity_test storage_mapped_parity_test \
-    core_engine_cow_test core_label_verdict_parity_test
-  run_ctest build-audit 'Parity|Speculation|InvariantAudit|EngineCow' \
+    core_engine_cow_test core_label_verdict_parity_test \
+    serve_session_manager_test
+  run_ctest build-audit \
+    'Parity|Speculation|InvariantAudit|EngineCow|SessionManager' \
     JIM_AUDIT_INVARIANTS=1
 fi
 

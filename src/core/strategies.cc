@@ -14,7 +14,7 @@ namespace jim::core {
 size_t Strategy::PickClass(const InferenceEngine& engine) {
   const std::vector<size_t>& candidates = engine.InformativeClasses();
   JIM_CHECK(!candidates.empty()) << "PickClass on a finished engine";
-  const std::vector<double> scores = Score(engine, candidates);
+  const std::vector<double> scores = Score(engine);
   JIM_CHECK_EQ(scores.size(), candidates.size());
   size_t best = 0;
   for (size_t i = 1; i < candidates.size(); ++i) {
@@ -25,7 +25,7 @@ size_t Strategy::PickClass(const InferenceEngine& engine) {
 
 std::vector<size_t> Strategy::TopK(const InferenceEngine& engine, size_t k) {
   const std::vector<size_t>& candidates = engine.InformativeClasses();
-  const std::vector<double> scores = Score(engine, candidates);
+  const std::vector<double> scores = Score(engine);
   JIM_CHECK_EQ(scores.size(), candidates.size());
   std::vector<size_t> order(candidates.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -44,8 +44,8 @@ std::vector<size_t> Strategy::TopK(const InferenceEngine& engine, size_t k) {
 
 RandomStrategy::RandomStrategy(uint64_t seed) : rng_(seed) {}
 
-std::vector<double> RandomStrategy::Score(
-    const InferenceEngine& engine, const std::vector<size_t>& candidates) {
+std::vector<double> RandomStrategy::Score(const InferenceEngine& engine) {
+  const std::vector<size_t>& candidates = engine.InformativeClasses();
   // Random scores, weighted so that larger classes are proportionally more
   // likely to take the maximum — this approximates a uniform pick over
   // informative tuples when used through TopK.
@@ -85,8 +85,8 @@ std::string_view LocalStrategy::name() const {
                                             : "local-top-down";
 }
 
-std::vector<double> LocalStrategy::Score(
-    const InferenceEngine& engine, const std::vector<size_t>& candidates) {
+std::vector<double> LocalStrategy::Score(const InferenceEngine& engine) {
+  const std::vector<size_t>& candidates = engine.InformativeClasses();
   std::vector<double> scores(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
     // Candidates are informative, so the engine's knowledge cache is fresh —
@@ -147,19 +147,16 @@ double LookaheadStrategy::Aggregate(size_t n_plus, size_t n_minus) const {
   return 0;
 }
 
-std::vector<double> LookaheadStrategy::Score(
-    const InferenceEngine& engine, const std::vector<size_t>& candidates) {
+std::vector<double> LookaheadStrategy::Score(const InferenceEngine& engine) {
   // Deterministic candidate cap: score an evenly spaced subsample when the
   // pool is too large; unsampled candidates keep -inf and are never picked.
-  const size_t n = candidates.size();
-  const size_t cap = max_candidates_ == 0 ? n : std::min(n, max_candidates_);
-  std::vector<double> scores(n, -std::numeric_limits<double>::infinity());
   InferenceEngine::LookaheadCache cache;
   engine.PrepareLookahead(cache);
-  // Sampled candidate j lands on worklist slot j*n/cap. Candidates are the
-  // worklist (PickClass/TopK pass InformativeClasses()), so slot i is also
-  // the candidate's position in the cache.
-  JIM_CHECK_EQ(n, cache.worklist_size);
+  const size_t n = cache.worklist_size;
+  const size_t cap = max_candidates_ == 0 ? n : std::min(n, max_candidates_);
+  std::vector<double> scores(n, -std::numeric_limits<double>::infinity());
+  // Sampled candidate j lands on worklist slot j*n/cap, which is also its
+  // position in the cache.
   for (size_t j = 0; j < cap; ++j) {
     const size_t i = j * n / cap;
     const InferenceEngine::LabelImpactPair both =
@@ -235,8 +232,8 @@ class MinimaxSolver {
 OptimalStrategy::OptimalStrategy(size_t node_budget)
     : node_budget_(node_budget) {}
 
-std::vector<double> OptimalStrategy::Score(
-    const InferenceEngine& engine, const std::vector<size_t>& candidates) {
+std::vector<double> OptimalStrategy::Score(const InferenceEngine& engine) {
+  const std::vector<size_t>& candidates = engine.InformativeClasses();
   MinimaxSolver solver(engine, node_budget_);
   std::vector<double> scores(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {

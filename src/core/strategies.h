@@ -25,10 +25,15 @@ class Strategy {
 
   virtual std::string_view name() const = 0;
 
-  /// Scores for each candidate class (parallel to `candidates`); higher is
-  /// better. Scores are comparable within one call only.
-  virtual std::vector<double> Score(const InferenceEngine& engine,
-                                    const std::vector<size_t>& candidates) = 0;
+  /// Scores for each informative class, parallel to
+  /// engine.InformativeClasses(); higher is better. Scores are comparable
+  /// within one call only.
+  virtual std::vector<double> Score(const InferenceEngine& engine) = 0;
+
+  /// True iff PickClass reads nothing but the engine, so two strategies of
+  /// the same name pick the same class from equal engine states. The
+  /// serving daemon shares such picks across sessions.
+  virtual bool stateless() const { return true; }
 
   /// The class to ask about next: by default the argmax of Score over all
   /// informative classes, ties broken toward the smallest class id (which
@@ -46,9 +51,10 @@ class RandomStrategy : public Strategy {
  public:
   explicit RandomStrategy(uint64_t seed);
   std::string_view name() const override { return "random"; }
-  std::vector<double> Score(const InferenceEngine& engine,
-                            const std::vector<size_t>& candidates) override;
+  std::vector<double> Score(const InferenceEngine& engine) override;
   size_t PickClass(const InferenceEngine& engine) override;
+  /// Every pick advances the RNG.
+  bool stateless() const override { return false; }
 
  private:
   util::Rng rng_;
@@ -63,8 +69,7 @@ class LocalStrategy : public Strategy {
   enum class Direction { kBottomUp, kTopDown };
   explicit LocalStrategy(Direction direction);
   std::string_view name() const override;
-  std::vector<double> Score(const InferenceEngine& engine,
-                            const std::vector<size_t>& candidates) override;
+  std::vector<double> Score(const InferenceEngine& engine) override;
 
  private:
   Direction direction_;
@@ -97,8 +102,7 @@ class LookaheadStrategy : public Strategy {
   LookaheadStrategy(Objective objective, double alpha = 1.0,
                     size_t max_candidates = 256);
   std::string_view name() const override;
-  std::vector<double> Score(const InferenceEngine& engine,
-                            const std::vector<size_t>& candidates) override;
+  std::vector<double> Score(const InferenceEngine& engine) override;
 
   /// Accepts only nullptr: scoring is always serial. Kept so the frozen
   /// benchmark's two `set_thread_pool(nullptr)` calls still compile; delete
@@ -132,8 +136,7 @@ class OptimalStrategy : public Strategy {
  public:
   explicit OptimalStrategy(size_t node_budget = 2'000'000);
   std::string_view name() const override { return "optimal"; }
-  std::vector<double> Score(const InferenceEngine& engine,
-                            const std::vector<size_t>& candidates) override;
+  std::vector<double> Score(const InferenceEngine& engine) override;
 
  private:
   size_t node_budget_;

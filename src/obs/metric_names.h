@@ -102,6 +102,9 @@ inline constexpr char kCounterServeSessionsRecovered[] =
 /// per-session step cap).
 inline constexpr char kCounterServeSessionsRejected[] =
     "serve.sessions.rejected";
+/// Suggests answered from an instance's shared first picks, without a
+/// PickClass.
+inline constexpr char kCounterServePicksShared[] = "serve.picks.shared";
 inline constexpr char kCounterServeRequests[] = "serve.requests";
 inline constexpr char kCounterServeRequestErrors[] = "serve.request_errors";
 inline constexpr char kHistServeCreateMicros[] = "serve.create_micros";

@@ -110,8 +110,15 @@ util::StatusOr<SessionManager::CreateResult> SessionManager::Create(
     }
     ASSIGN_OR_RETURN(Instance * inst,
                      GetOrOpenInstance(instance_name, /*trusted=*/false));
+    const bool shares_picks = strategy_impl->stateless();
     session = std::make_shared<Session>(*inst->prototype,
                                         std::move(strategy_impl));
+    if (shares_picks) {
+      std::shared_ptr<FirstPicks>& first_picks = inst->first_picks[strategy];
+      if (first_picks == nullptr) first_picks = std::make_shared<FirstPicks>();
+      session->first_picks = first_picks;
+      session->first_pick_slot = 0;
+    }
     if (!goal.empty()) {
       ASSIGN_OR_RETURN(core::JoinPredicate parsed_goal,
                        core::JoinPredicate::Parse(
@@ -163,6 +170,24 @@ util::Status SessionManager::PersistSession(Session& session) {
                          options_.retry);
 }
 
+size_t SessionManager::NextPick(Session& session) {
+  if (session.first_pick_slot < 0) {
+    return session.strategy->PickClass(session.engine);
+  }
+  std::atomic<int64_t>& slot =
+      session.first_picks->slots[session.first_pick_slot];
+  const int64_t shared = slot.load(std::memory_order_relaxed);
+  if (shared < 0) {
+    const size_t pick = session.strategy->PickClass(session.engine);
+    slot.store(static_cast<int64_t>(pick), std::memory_order_relaxed);
+    return pick;
+  }
+  JIM_COUNT(obs::kCounterServePicksShared);
+  JIM_AUDIT(JIM_CHECK_EQ(session.strategy->PickClass(session.engine),
+                         static_cast<size_t>(shared)));
+  return static_cast<size_t>(shared);
+}
+
 util::StatusOr<SessionManager::SuggestResult> SessionManager::Suggest(
     const std::string& session_id) {
   JIM_SPAN(obs::kHistServeSuggestMicros);
@@ -178,7 +203,7 @@ util::StatusOr<SessionManager::SuggestResult> SessionManager::Suggest(
     // At most one PickClass per step: repeated suggests return the cached
     // pick, so polling never advances a randomized strategy's RNG (and the
     // checkpointed transcript stays replayable).
-    session->pending_pick = session->strategy->PickClass(session->engine);
+    session->pending_pick = NextPick(*session);
     session->has_pending_pick = true;
   }
   result.class_id = session->pending_pick;
@@ -245,6 +270,13 @@ util::StatusOr<SessionManager::LabelResult> SessionManager::Label(
   }
   core::InferenceEngine::LabelImpact impact;
   JIM_CHECK_OK(session->engine.SubmitClassLabel(class_id, label, &impact));
+  // Only a label that answers the root pick keeps the session on the shared
+  // picks; any other label leads to a state no slot describes.
+  session->first_pick_slot =
+      session->first_pick_slot == 0 && session->has_pending_pick &&
+              session->pending_pick == class_id
+          ? 1 + step.answer
+          : -1;
   session->has_pending_pick = false;
 
   LabelResult result;

@@ -56,6 +56,14 @@ struct ServeOptions {
 /// checkpointed transcript — re-driving PickClass exactly where a suggest
 /// preceded the label — so a restarted daemon's remaining responses are
 /// byte-identical to an uninterrupted run's.
+///
+/// Shared first picks: every fresh session starts at its instance's
+/// prototype state, and a stateless strategy's pick is a function of that
+/// state alone. So each (instance, strategy) keeps three shared picks — at
+/// the prototype, and after the root pick was labeled negative or positive
+/// — and a session that answers its suggestions reads them instead of
+/// re-scoring. The slots are relaxed atomics: two sessions that race on an
+/// empty slot compute and store the same value, so no lock guards them.
 class SessionManager {
  public:
   explicit SessionManager(ServeOptions options);
@@ -153,10 +161,25 @@ class SessionManager {
   const ServeOptions& options() const { return options_; }
 
  private:
+  /// One stateless strategy's first picks on one instance: slot 0 is the
+  /// pick at the prototype's state, slot 1 + answer the pick after slot 0's
+  /// class was labeled with `answer` (0 negative, 1 positive). −1 = not yet
+  /// computed.
+  struct FirstPicks {
+    std::atomic<int64_t> slots[3] = {-1, -1, -1};
+  };
+
   struct Instance {
     std::shared_ptr<const core::TupleStore> store;
     /// Built once per instance; sessions start as COW clones of it.
     std::shared_ptr<const core::InferenceEngine> prototype;
+    /// Keyed by strategy name, filled by Create under mutex_. The name is
+    /// the whole key because Create builds every strategy with MakeStrategy's
+    /// default α and candidate cap; a `create` parameter that changes a pick
+    /// must join it. Sessions hold their own reference, so re-registering
+    /// the instance gives new sessions a fresh table and leaves live ones
+    /// with theirs.
+    std::map<std::string, std::shared_ptr<FirstPicks>> first_picks;
   };
 
   struct Session {
@@ -170,6 +193,13 @@ class SessionManager {
     /// accepted label, so the pick is pending until the next label).
     bool has_pending_pick = false;
     size_t pending_pick = 0;
+    /// The instance's shared picks for this strategy, and the slot that
+    /// holds the pick at the engine's current state: 0 at creation, 1 or 2
+    /// after the first label answered the root pick, −1 once the session
+    /// left that script (and always for a non-stateless strategy or a
+    /// recovered session).
+    std::shared_ptr<FirstPicks> first_picks;
+    int first_pick_slot = -1;
     /// Set by Close, under `mutex`, before it removes the checkpoint file.
     /// A Label or Create that takes `mutex` afterwards returns kNotFound
     /// instead of writing the file back.
@@ -187,6 +217,10 @@ class SessionManager {
                                               bool trusted);
   util::StatusOr<std::shared_ptr<Session>> FindSession(
       const std::string& session_id);
+  /// The strategy's pick at the session's state: its shared slot when that
+  /// is filled, else PickClass (publishing the result to an empty slot).
+  /// Caller holds the session's mutex.
+  static size_t NextPick(Session& session);
   /// Builds a session from its checkpoint: clone, replay every step
   /// (re-driving PickClass where one was recorded), verify convergence.
   util::StatusOr<std::shared_ptr<Session>> ReplayCheckpoint(

@@ -154,7 +154,7 @@ TEST(LookaheadParityTest, SampledCandidateCapMatchesNaive) {
     expected[j * n / kCap] = lookahead.ObjectiveValue(
         both.positive.pruned_tuples, both.negative.pruned_tuples);
   }
-  EXPECT_EQ(lookahead.Score(engine, candidates), expected);
+  EXPECT_EQ(lookahead.Score(engine), expected);
   EXPECT_EQ(lookahead.PickClass(engine),
             NaiveLookaheadPick(engine, lookahead, kCap));
 }

@@ -157,7 +157,7 @@ TEST(SpeculationTest, OptimalStrategyScoresUnchangedOnFigure1) {
   const InferenceEngine engine(instance);
   OptimalStrategy strategy;
   const std::vector<size_t>& candidates = engine.InformativeClasses();
-  const std::vector<double> scores = strategy.Score(engine, candidates);
+  const std::vector<double> scores = strategy.Score(engine);
   ASSERT_EQ(scores.size(), candidates.size());
   NaiveMinimaxReference naive(engine);
   for (size_t i = 0; i < candidates.size(); ++i) {

@@ -133,8 +133,10 @@ TEST(LookaheadStrategyTest, EntropyAlphaOneEqualsShannonLimit) {
   LookaheadStrategy near_one(LookaheadStrategy::Objective::kEntropy,
                              1.0 + 1e-7);
   const auto candidates = engine.InformativeClasses();
-  const auto s1 = shannon.Score(engine, candidates);
-  const auto s2 = near_one.Score(engine, candidates);
+  const auto s1 = shannon.Score(engine);
+  const auto s2 = near_one.Score(engine);
+  ASSERT_EQ(s1.size(), candidates.size());
+  ASSERT_EQ(s2.size(), candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
     EXPECT_NEAR(s1[i], s2[i], 1e-3) << "candidate " << i;
   }

@@ -6,7 +6,11 @@
 // equal the uninterrupted manager's, including for RNG-bearing
 // strategies — and the in-place label path: one copy-on-write
 // detach per session, and a failed checkpoint write that leaves the session
-// exactly at its durable transcript.
+// exactly at its durable transcript. The shared first picks: every suggest
+// equals a fresh strategy's pick on an engine replayed from the session's
+// labels, the hit counter counts exactly the scripted reads, off-script
+// sessions, `random` and re-registered instances stay off a table that is
+// not theirs, and concurrent sessions racing on a slot match a serial run.
 
 #include "serve/session_manager.h"
 
@@ -25,7 +29,10 @@
 #include "storage/env.h"
 #include "storage/fault_env.h"
 #include "util/bitset.h"
+#include "util/check.h"
+#include "util/rng.h"
 #include "util/string_util.h"
+#include "workload/synthetic.h"
 #include "workload/travel.h"
 
 namespace jim::serve {
@@ -654,6 +661,361 @@ TEST(SessionManagerTest, FailedCheckpointWriteLeavesTheSessionUntouched) {
     lines.insert(lines.end(), after.begin(), after.end());
     EXPECT_EQ(lines, expected);
   }
+}
+
+// --- Shared first picks ---------------------------------------------------
+
+/// Turns metrics on for one test and restores the previous setting.
+class ScopedMetrics {
+ public:
+  ScopedMetrics() : was_enabled_(obs::MetricsEnabled()) {
+    obs::SetMetricsEnabled(true);
+  }
+  ~ScopedMetrics() { obs::SetMetricsEnabled(was_enabled_); }
+
+ private:
+  bool was_enabled_;
+};
+
+uint64_t SharedPicks() {
+  return obs::MetricsRegistry::Instance().CounterValue(
+      obs::kCounterServePicksShared);
+}
+
+/// One session's accepted labels, in order: (class, positive).
+using Labels = std::vector<std::pair<size_t, bool>>;
+
+/// An engine over `store` with `labels` applied.
+core::InferenceEngine Replay(std::shared_ptr<const core::TupleStore> store,
+                             const Labels& labels) {
+  core::InferenceEngine engine(std::move(store));
+  for (const auto& [class_id, positive] : labels) {
+    JIM_CHECK_OK(engine.SubmitClassLabel(
+        class_id, positive ? core::Label::kPositive : core::Label::kNegative));
+  }
+  return engine;
+}
+
+/// What a fresh `strategy` picks on an engine replayed from `labels`: the
+/// class every suggest of a stateless strategy must name.
+size_t FreshPick(std::shared_ptr<const core::TupleStore> store,
+                 const std::string& strategy, const Labels& labels) {
+  const core::InferenceEngine engine = Replay(std::move(store), labels);
+  return core::MakeStrategy(strategy).value()->PickClass(engine);
+}
+
+/// A synthetic instance with many classes (6 attributes over a 4-value
+/// domain: 1000 tuples fall into well over a hundred classes).
+std::shared_ptr<const core::TupleStore> ManyClassStore(uint64_t seed) {
+  util::Rng rng(seed);
+  workload::SyntheticSpec spec;
+  spec.num_tuples = 1000;
+  spec.domain_size = 4;
+  return workload::MakeSyntheticWorkload(spec, rng).store;
+}
+
+/// Goals that answer `root_class` both ways, two of each: the empty
+/// predicate and Part(root) select it; the top partition and one pair the
+/// class splits do not.
+std::vector<core::JoinPredicate> GoalsAnsweringBothWays(
+    std::shared_ptr<const core::TupleStore> store, size_t root_class) {
+  const rel::Schema schema = store->schema();
+  const core::InferenceEngine engine(std::move(store));
+  const lat::Partition& root = engine.tuple_class(root_class).partition;
+  const size_t n = root.num_elements();
+  std::vector<core::JoinPredicate> goals = {
+      core::JoinPredicate(schema), core::JoinPredicate(schema, root),
+      core::JoinPredicate(schema, lat::Partition::Top(n))};
+  for (size_t i = 0; i < n && goals.size() < 4; ++i) {
+    for (size_t j = i + 1; j < n && goals.size() < 4; ++j) {
+      if (root.SameBlock(i, j)) continue;
+      goals.emplace_back(schema,
+                         lat::Partition::FromPairs(n, {{i, j}}).value());
+    }
+  }
+  return goals;
+}
+
+/// Drives `session_id` to done with an exact `goal` user and expects every
+/// suggest to equal FreshPick. Returns the accepted labels.
+Labels DriveCheckingPicks(SessionManager& manager,
+                          const std::string& session_id,
+                          std::shared_ptr<const core::TupleStore> store,
+                          const std::string& strategy,
+                          const core::JoinPredicate& goal) {
+  Labels labels;
+  for (;;) {
+    auto suggested = manager.Suggest(session_id);
+    EXPECT_TRUE(suggested.ok()) << suggested.status();
+    if (!suggested.ok() || suggested->done) return labels;
+    EXPECT_EQ(suggested->class_id, FreshPick(store, strategy, labels))
+        << strategy << " step " << labels.size();
+    const bool answer = OracleAnswer(*store, goal, suggested->tuple_index);
+    auto labeled = manager.Label(session_id, suggested->class_id, answer);
+    EXPECT_TRUE(labeled.ok()) << labeled.status();
+    if (!labeled.ok()) return labels;
+    labels.emplace_back(suggested->class_id, answer);
+    EXPECT_LT(labels.size(), 1000u) << "session did not converge";
+    if (labels.size() >= 1000u) return labels;
+  }
+}
+
+TEST(SessionManagerTest, SharedFirstPicksEqualFreshPicksForEveryStatelessStrategy) {
+  // Every session follows the script (it answers each suggestion), so its
+  // root suggest reads slot 0 and its second suggest slot 1 + answer. The
+  // first session to reach a slot computes it; every later one is a hit.
+  ScopedMetrics metrics;
+  const std::pair<std::string, std::shared_ptr<const core::TupleStore>>
+      instances[] = {{"figure1", workload::Figure1StorePtr()},
+                     {"synthetic", ManyClassStore(7)}};
+  for (const auto& [instance, store] : instances) {
+    for (const std::string& strategy : core::KnownStrategyNames()) {
+      if (!core::MakeStrategy(strategy).value()->stateless()) continue;
+      // The exact minimax search exceeds its node budget beyond ~16 classes.
+      if (strategy == "optimal" && instance != "figure1") continue;
+      SessionManager manager(ServeOptions{});
+      manager.RegisterInstance(instance, store);
+      const size_t root = FreshPick(store, strategy, {});
+      const std::vector<core::JoinPredicate> goals =
+          GoalsAnsweringBothWays(store, root);
+      const uint64_t before = SharedPicks();
+      size_t answered[2] = {0, 0};   // sessions by their root answer
+      size_t continued[2] = {0, 0};  // those not done after that label
+      for (const core::JoinPredicate& goal : goals) {
+        auto created = manager.Create(instance, strategy, "", /*seed=*/3, 0);
+        ASSERT_TRUE(created.ok()) << created.status();
+        const Labels labels = DriveCheckingPicks(
+            manager, created->session_id, store, strategy, goal);
+        ASSERT_FALSE(labels.empty());
+        ASSERT_EQ(labels[0].first, root);
+        ++answered[labels[0].second ? 1 : 0];
+        if (labels.size() > 1) ++continued[labels[0].second ? 1 : 0];
+      }
+      ASSERT_EQ(answered[0], 2u) << instance << " " << strategy;
+      ASSERT_EQ(answered[1], 2u) << instance << " " << strategy;
+      // On Figure 1 one answer to a local root pick can end the session; on
+      // the synthetic instance both slots after the root are read again.
+      if (instance != "figure1") {
+        ASSERT_EQ(continued[0], 2u) << strategy;
+        ASSERT_EQ(continued[1], 2u) << strategy;
+      }
+      uint64_t expected = goals.size() - 1;
+      for (size_t on_slot : continued) {
+        if (on_slot > 0) expected += on_slot - 1;
+      }
+      EXPECT_EQ(SharedPicks() - before, expected)
+          << instance << " " << strategy;
+    }
+  }
+}
+
+TEST(SessionManagerTest, OffScriptFirstLabelLeavesTheSharedPicks) {
+  // A session whose first label does not answer a pending suggestion is in
+  // a state no slot describes: it must never read the table again, and its
+  // picks must still equal fresh ones.
+  ScopedMetrics metrics;
+  const std::string strategy = "lookahead-entropy";
+  auto store = ManyClassStore(11);
+  SessionManager manager(ServeOptions{});
+  manager.RegisterInstance("synthetic", store);
+  const size_t root = FreshPick(store, strategy, {});
+  const std::vector<core::JoinPredicate> goals =
+      GoalsAnsweringBothWays(store, root);
+  // Fill all three slots: the empty predicate answers the root pick
+  // positive, the top partition negative.
+  for (size_t g : {0, 2}) {
+    auto created = manager.Create("synthetic", strategy, "", 1, 0);
+    ASSERT_TRUE(created.ok()) << created.status();
+    DriveCheckingPicks(manager, created->session_id, store, strategy,
+                       goals[g]);
+  }
+  const core::InferenceEngine prototype = Replay(store, {});
+  const std::vector<size_t>& informative = prototype.InformativeClasses();
+  const size_t other = informative[0] != root ? informative[0]
+                                              : informative[1];
+
+  // (1) A suggest (a hit), then a label on another class.
+  // (2) No suggest, then a label on another class.
+  // (3) No suggest, then a label on the root pick's own class.
+  struct Case {
+    bool suggest_first;
+    size_t first_class;
+    uint64_t hits;
+  };
+  for (const Case& c : {Case{true, other, 1}, Case{false, other, 0},
+                        Case{false, root, 0}}) {
+    for (bool answer : {false, true}) {
+      const uint64_t before = SharedPicks();
+      auto created = manager.Create("synthetic", strategy, "", 1, 0);
+      ASSERT_TRUE(created.ok()) << created.status();
+      if (c.suggest_first) {
+        auto suggested = manager.Suggest(created->session_id);
+        ASSERT_TRUE(suggested.ok()) << suggested.status();
+        EXPECT_EQ(suggested->class_id, root);
+      }
+      ASSERT_TRUE(
+          manager.Label(created->session_id, c.first_class, answer).ok());
+      // Keep answering the suggestions with a goal that agrees with the
+      // first label: the empty predicate selects every tuple, the top
+      // partition no informative one.
+      const core::JoinPredicate& goal = goals[answer ? 0 : 2];
+      Labels labels = {{c.first_class, answer}};
+      for (;;) {
+        auto suggested = manager.Suggest(created->session_id);
+        ASSERT_TRUE(suggested.ok()) << suggested.status();
+        if (suggested->done) break;
+        EXPECT_EQ(suggested->class_id, FreshPick(store, strategy, labels));
+        const bool next = OracleAnswer(*store, goal, suggested->tuple_index);
+        ASSERT_TRUE(
+            manager.Label(created->session_id, suggested->class_id, next)
+                .ok());
+        labels.emplace_back(suggested->class_id, next);
+        ASSERT_LT(labels.size(), 1000u);
+      }
+      EXPECT_GT(labels.size(), 1u);
+      EXPECT_EQ(SharedPicks() - before, c.hits)
+          << "suggest_first=" << c.suggest_first
+          << " class=" << c.first_class << " answer=" << answer;
+    }
+  }
+}
+
+TEST(SessionManagerTest, RandomStrategyNeverReadsTheSharedPicks) {
+  // `random` is not stateless: each session keeps its own RNG stream, so
+  // its picks equal a strategy driven alongside with the same seed.
+  ScopedMetrics metrics;
+  auto store = ManyClassStore(13);
+  SessionManager manager(ServeOptions{});
+  manager.RegisterInstance("synthetic", store);
+  const uint64_t before = SharedPicks();
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    auto created = manager.Create("synthetic", "random", "", seed, 0);
+    ASSERT_TRUE(created.ok()) << created.status();
+    auto reference = core::MakeStrategy("random", seed).value();
+    core::InferenceEngine engine(store);
+    for (size_t step = 0; step < 1000; ++step) {
+      auto suggested = manager.Suggest(created->session_id);
+      ASSERT_TRUE(suggested.ok()) << suggested.status();
+      if (suggested->done) break;
+      ASSERT_EQ(suggested->class_id, reference->PickClass(engine));
+      const bool answer = (seed + step) % 2 == 0;
+      ASSERT_TRUE(
+          manager.Label(created->session_id, suggested->class_id, answer)
+              .ok());
+      ASSERT_TRUE(engine
+                      .SubmitClassLabel(suggested->class_id,
+                                        answer ? core::Label::kPositive
+                                               : core::Label::kNegative)
+                      .ok());
+    }
+  }
+  EXPECT_EQ(SharedPicks() - before, 0u);
+}
+
+TEST(SessionManagerTest, ReRegisteringAnInstanceStartsAFreshSharedTable) {
+  // Sessions keep the table they were created with: a session made before
+  // the name was re-registered reads the old instance's picks, one made
+  // after it computes the new instance's own.
+  ScopedMetrics metrics;
+  const std::string strategy = "lookahead-entropy";
+  auto old_store = ManyClassStore(17);
+  auto new_store = ManyClassStore(19);
+  const size_t old_root = FreshPick(old_store, strategy, {});
+  const size_t new_root = FreshPick(new_store, strategy, {});
+  ASSERT_NE(old_root, new_root) << "pick seeds whose root picks differ";
+  SessionManager manager(ServeOptions{});
+  manager.RegisterInstance("inst", old_store);
+  auto first = manager.Create("inst", strategy, "", 1, 0);
+  auto second = manager.Create("inst", strategy, "", 1, 0);
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_EQ(manager.Suggest(first->session_id)->class_id, old_root);
+
+  manager.RegisterInstance("inst", new_store);
+  uint64_t before = SharedPicks();
+  auto fresh = manager.Create("inst", strategy, "", 1, 0);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(manager.Suggest(fresh->session_id)->class_id, new_root);
+  EXPECT_EQ(SharedPicks() - before, 0u);
+
+  before = SharedPicks();
+  const core::JoinPredicate goal(old_store->schema());
+  const Labels labels =
+      DriveCheckingPicks(manager, second->session_id, old_store, strategy,
+                         goal);
+  ASSERT_GT(labels.size(), 1u);
+  EXPECT_EQ(SharedPicks() - before, 1u);  // slot 0 of the old table
+  DriveCheckingPicks(manager, first->session_id, old_store, strategy, goal);
+  DriveCheckingPicks(manager, fresh->session_id, new_store, strategy,
+                     core::JoinPredicate(new_store->schema()));
+}
+
+/// Renders one goal-driven session's replies, one line per reply.
+std::vector<std::string> GoalTranscript(SessionManager& manager,
+                                        const std::string& session_id,
+                                        const core::TupleStore& store,
+                                        const core::JoinPredicate& goal) {
+  std::vector<std::string> lines;
+  for (size_t labels = 0; labels < 1000; ++labels) {
+    auto suggested = manager.Suggest(session_id);
+    if (!suggested.ok()) {
+      lines.push_back(suggested.status().ToString());
+      break;
+    }
+    lines.push_back(Render(*suggested));
+    if (suggested->done) break;
+    auto labeled =
+        manager.Label(session_id, suggested->class_id,
+                      OracleAnswer(store, goal, suggested->tuple_index));
+    if (!labeled.ok()) {
+      lines.push_back(labeled.status().ToString());
+      break;
+    }
+    lines.push_back(Render(*labeled));
+  }
+  return lines;
+}
+
+TEST(SessionManagerTest, ConcurrentSessionsShareFirstPicksDeterministically) {
+  // 8 threads create and drive lookahead sessions on one instance at once,
+  // racing on the shared slots; every transcript must equal a serial run's.
+  constexpr size_t kThreads = 8;
+  constexpr size_t kSessionsPerThread = 8;
+  auto store = ManyClassStore(23);
+  ServeOptions options;
+  options.max_sessions = kThreads * kSessionsPerThread;
+  const size_t root = FreshPick(store, "lookahead-entropy", {});
+  const std::vector<core::JoinPredicate> goals =
+      GoalsAnsweringBothWays(store, root);
+  const char* const strategies[] = {"lookahead-entropy", "lookahead-minmax"};
+  auto run = [&](SessionManager& manager, size_t thread) {
+    std::vector<std::vector<std::string>> transcripts;
+    for (size_t k = 0; k < kSessionsPerThread; ++k) {
+      const size_t i = thread * kSessionsPerThread + k;
+      auto created =
+          manager.Create("synthetic", strategies[i % 2], "", 1, 0);
+      EXPECT_TRUE(created.ok()) << created.status();
+      if (!created.ok()) break;
+      transcripts.push_back(GoalTranscript(manager, created->session_id,
+                                           *store,
+                                           goals[(i / 2) % goals.size()]));
+    }
+    return transcripts;
+  };
+
+  SessionManager serial(options);
+  serial.RegisterInstance("synthetic", store);
+  std::vector<std::vector<std::vector<std::string>>> expected;
+  for (size_t t = 0; t < kThreads; ++t) expected.push_back(run(serial, t));
+
+  SessionManager concurrent(options);
+  concurrent.RegisterInstance("synthetic", store);
+  std::vector<std::vector<std::vector<std::string>>> actual(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { actual[t] = run(concurrent, t); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(actual, expected);
 }
 
 }  // namespace
