@@ -226,6 +226,36 @@ void RegisterAll(std::vector<BenchResult>& results) {
     results.push_back(copy_corrected(gross, "LabelPropagationNet"));
     results.push_back(
         copy_corrected(gross_negative, "LabelPropagationNegative"));
+    // A daemon session is a clone labeled in place, and its first positive
+    // label usually follows a negative one (goals select few tuples). That
+    // label detaches both the session arrays and the knowledge table from
+    // the prototype, clips the forbidden zone to the new θ_P and refreshes
+    // every K_c. Timed on clones of such a session, net of copying it.
+    core::InferenceEngine session = prototype;
+    for (size_t c : informative) {
+      if (c == target) continue;
+      core::InferenceEngine probe = session;
+      JIM_CHECK_OK(probe.SubmitClassLabel(c, core::Label::kNegative));
+      if (probe.class_status(target) == core::ClassStatus::kInformative) {
+        session = std::move(probe);
+        break;
+      }
+    }
+    JIM_CHECK_EQ(session.history().size(), size_t{1});
+    const BenchResult session_copy =
+        RunBench("SessionCopy", static_cast<int64_t>(tuples), [&] {
+          core::InferenceEngine engine = session;
+          DoNotOptimize(engine.num_classes());
+        });
+    BenchResult first_positive = RunBench(
+        "CloneFirstPositiveLabel", static_cast<int64_t>(tuples), [&] {
+          core::InferenceEngine engine = session;
+          (void)engine.SubmitClassLabel(target, core::Label::kPositive);
+          DoNotOptimize(engine.NumInformativeTuples());
+        });
+    first_positive.ns_per_op =
+        std::max(0.0, first_positive.ns_per_op - session_copy.ns_per_op);
+    results.push_back(first_positive);
   }
   // Both-label impact of one candidate class — the inner loop of every
   // lookahead strategy (per candidate it needs the impact of both answers).
@@ -278,7 +308,7 @@ void RegisterAll(std::vector<BenchResult>& results) {
     core::InferenceEngine engine(workload.instance);
     core::LookaheadStrategy strategy(
         core::LookaheadStrategy::Objective::kEntropy);
-    while (engine.state().negatives().size() < 3) {
+    while (engine.state().num_negatives() < 3) {
       JIM_CHECK(!engine.IsDone());
       JIM_CHECK_OK(engine.SubmitClassLabel(strategy.PickClass(engine),
                                            core::Label::kNegative));

@@ -19,8 +19,10 @@
 #   - ASAN stage         columnar storage/ingest suites plus the lookahead
 #                        pick parity + trail-undo suites under address
 #   - UBSAN stage        integer-kernel + storage suites (the lookahead
-#                        kernel's edge cases included) AND the deterministic
-#                        fuzz driver (5000 mutated JIMC images, goal strings
+#                        kernel's edge cases and the pair-set inference
+#                        state's 0-, 1- and 2-word parity included) AND
+#                        the deterministic fuzz driver (5000 mutated JIMC
+#                        images, goal strings
 #                        and protocol request lines through ParseJson /
 #                        ParseRequest) under address+undefined with every
 #                        finding fatal (-fno-sanitize-recover)
@@ -36,9 +38,11 @@
 #                        jim_cli serve --stdio smoke against the round-trip
 #                        instance
 #   - audit stage        -DJIM_AUDIT_INVARIANTS=ON build running the parity
-#                        suites with every engine mutation re-deriving its
-#                        CheckInvariants contract, and the session-manager
-#                        suite with every shared first pick recomputed
+#                        suites (the pair-set inference state against its
+#                        naive partition reference included) with every
+#                        engine mutation re-deriving its CheckInvariants
+#                        contract, and the session-manager suite with
+#                        every shared first pick recomputed
 #   - clang-tidy stage   advisory, opt-in via JIM_RUN_CLANG_TIDY=1
 #
 # Every stage selects its suites through run_ctest, which fails when an
@@ -258,13 +262,14 @@ else
     -DJIM_WERROR=ON -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
   cmake --build build-ubsan -j --target \
     lattice_partition_test lattice_antichain_test lattice_kernel_parity_test \
-    core_lookahead_kernel_parity_test lattice_enumeration_test \
+    core_lookahead_kernel_parity_test core_inference_state_parity_test \
+    lattice_enumeration_test \
     core_tuple_store_test core_invariant_audit_test \
     relational_dictionary_test storage_jimc_format_test \
     storage_byte_reader_test storage_mapped_parity_test \
     storage_snapshot_test fuzz_jimc_main
   run_ctest build-ubsan \
-    'Partition|Antichain|KernelParity|BellNumber|Refinements|Covers|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|Snapshot|InvariantAudit|fuzz_jimc_smoke'
+    'Partition|Antichain|KernelParity|InferenceStateParity|BellNumber|Refinements|Covers|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|Snapshot|InvariantAudit|fuzz_jimc_smoke'
   # The deterministic fuzz driver, long run: 5000 mutated JIMC images, goal
   # strings and protocol request lines, every outcome a typed Status, under
   # ASAN+UBSAN with findings fatal. Reproduce any failure with the printed
@@ -332,9 +337,9 @@ else
     core_lookahead_kernel_parity_test \
     query_factorized_parity_test storage_mapped_parity_test \
     core_engine_cow_test core_label_verdict_parity_test \
-    serve_session_manager_test
+    core_inference_state_parity_test serve_session_manager_test
   run_ctest build-audit \
-    'Parity|Speculation|InvariantAudit|EngineCow|SessionManager' \
+    'Parity|InferenceStateParity|Speculation|InvariantAudit|EngineCow|SessionManager' \
     JIM_AUDIT_INVARIANTS=1
 fi
 

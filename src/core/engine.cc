@@ -167,26 +167,30 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
   session_->class_status.assign(classes->size(), ClassStatus::kInformative);
   // Initially θ_P = ⊤, so K_c = ⊤ ∧ Part(c) = Part(c); every class starts on
   // the worklist.
-  knowledge_ = std::make_shared<std::vector<lat::Partition>>();
-  knowledge_->reserve(classes->size());
+  pair_words_ = lat::PairWords(n);
+  knowledge_ = std::make_shared<KnowledgeTable>();
+  knowledge_->pairs.resize(classes->size() * pair_words_);
+  knowledge_->rank.resize(classes->size());
   session_->informative.reserve(classes->size());
   for (size_t c = 0; c < classes->size(); ++c) {
-    knowledge_->push_back((*classes)[c].partition);
+    const lat::Partition& part = (*classes)[c].partition;
+    lat::FillPairBits(part, knowledge_->pairs.data() + c * pair_words_);
+    knowledge_->rank[c] = static_cast<uint32_t>(part.Rank());
     session_->informative.push_back(c);
   }
   classes_ = std::move(classes);
   class_of_tuple_ = std::move(class_of_tuple);
 }
 
-std::vector<lat::Partition>& InferenceEngine::MutableKnowledge() {
+InferenceEngine::KnowledgeTable& InferenceEngine::MutableKnowledge() {
   // use_count is exact here: a count of 1 can only race with *this* engine
   // being cloned concurrently, which is already outside the copy contract.
   if (knowledge_.use_count() != 1) {
-    knowledge_ = std::make_shared<std::vector<lat::Partition>>(*knowledge_);
+    knowledge_ = std::make_shared<KnowledgeTable>(*knowledge_);
     JIM_COUNT(obs::kCounterEngineCowDetaches);
   } else {
     // Pair with the release-decrement of a sibling clone that just detached
-    // (copied the vector and dropped the count to 1): without this fence the
+    // (copied the table and dropped the count to 1): without this fence the
     // in-place mutation below would be unordered against that copy's reads.
     std::atomic_thread_fence(std::memory_order_acquire);
   }
@@ -205,12 +209,13 @@ InferenceEngine::SessionArrays& InferenceEngine::MutableSession() {
 }
 
 InferenceEngine::LabelImpact InferenceEngine::Propagate(
-    const lat::Partition* new_zone) {
-  const lat::Partition& theta = state_.theta_p();
+    const uint64_t* new_zone) {
+  const size_t words = pair_words_;
+  const uint64_t* const theta = state_.theta_p_bits();
   // A negative label leaves θ_P, and so every K_c, unchanged; otherwise the
   // in-place refresh below is the one mutation of K_c anywhere in the engine
   // — detach from clone sharers first.
-  std::vector<lat::Partition>& knowledge =
+  KnowledgeTable& knowledge =
       new_zone == nullptr ? MutableKnowledge() : *knowledge_;
   SessionArrays& session = *session_;
   std::vector<size_t>& informative = session.informative;
@@ -220,20 +225,33 @@ InferenceEngine::LabelImpact InferenceEngine::Propagate(
   size_t out = 0;
   LabelImpact pruned;
   for (size_t c : informative) {
-    lat::Partition& k = knowledge[c];
+    uint64_t* const k = knowledge.pairs.data() + c * words;
     ClassStatus status = ClassStatus::kInformative;
     if (new_zone != nullptr) {
-      if (k.RefinesWith(*new_zone, scratch_)) {
+      if (lat::PairSubset(k, new_zone, words)) {
         status = ClassStatus::kForcedNegative;
       }
     } else {
       // The new θ_P refines the old, so meeting the *cached* knowledge with
       // it is the full refresh: K ∧ θ' = (θ ∧ Part(c)) ∧ θ' = θ' ∧ Part(c).
-      k.MeetInto(theta, k, scratch_);
-      if (k == theta) {
-        status = ClassStatus::kForcedPositive;
-      } else if (state_.negatives().DominatedBy(k, scratch_)) {
-        status = ClassStatus::kForcedNegative;
+      uint64_t lost = 0;
+      for (size_t w = 0; w < words; ++w) {
+        lost |= k[w] & ~theta[w];
+        k[w] &= theta[w];
+      }
+      switch (state_.ClassifyPairs(k)) {
+        case TupleClassification::kForcedPositive:
+          status = ClassStatus::kForcedPositive;
+          break;
+        case TupleClassification::kForcedNegative:
+          status = ClassStatus::kForcedNegative;
+          break;
+        case TupleClassification::kInformative:
+          if (lost != 0) {
+            knowledge.rank[c] = static_cast<uint32_t>(
+                lat::PairSetRank(store_->num_attributes(), k));
+          }
+          break;
       }
     }
     if (status == ClassStatus::kInformative) {
@@ -338,9 +356,19 @@ util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
   JIM_COUNT(obs::kCounterEngineLabelsAccepted);
   if (before != ClassStatus::kLabeledPositive &&
       before != ClassStatus::kLabeledNegative) {
-    // CheckLabel accepted, so the state agrees (a repeated label on an
-    // explicitly labeled class has nothing to tell it).
-    JIM_CHECK_OK(state_.ApplyLabel((*classes_)[class_id].partition, label));
+    // CheckLabel accepted on the class's incremental status, which stands in
+    // for a fresh classification, so the state applies the label without
+    // re-classifying (a repeated label on an explicitly labeled class has
+    // nothing to tell it). K_c is fresh exactly when the class is
+    // informative, the only case that reads it.
+    const TupleClassification classification =
+        before == ClassStatus::kInformative
+            ? TupleClassification::kInformative
+            : before == ClassStatus::kForcedPositive
+                  ? TupleClassification::kForcedPositive
+                  : TupleClassification::kForcedNegative;
+    state_.ApplyClassified(ClassKnowledgeBits(class_id), classification,
+                           label);
     // One JIM_COUNT site per name: the macro caches its counter in a
     // function-local static, so the name must be a per-site constant.
     if (label == Label::kPositive) {
@@ -370,10 +398,10 @@ util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
   // before propagation so reclassification cannot overwrite that status.
   RemoveFromWorklist(class_id);
   // θ_P is unchanged by a negative label, so the labeled class's cached
-  // knowledge is still exactly the antichain member ApplyLabel inserted (and
-  // nothing on that path mutates knowledge_).
+  // knowledge is still exactly the zone ApplyClassified added (and nothing
+  // on that path mutates knowledge_).
   LabelImpact pruned = Propagate(
-      label == Label::kPositive ? nullptr : &(*knowledge_)[class_id]);
+      label == Label::kPositive ? nullptr : ClassKnowledgeBits(class_id));
   if (impact != nullptr) {
     *impact = LabelImpact{pruned.pruned_classes + 1,
                           pruned.pruned_tuples + (*classes_)[class_id].size()};
@@ -429,33 +457,12 @@ util::Status InferenceEngine::SubmitClassLabel(size_t class_id, Label label,
   return status;
 }
 
-namespace {
-
-/// Words per pair bitset over n attributes: one bit per pair i < j.
-size_t PairWords(size_t n) { return (n * (n - 1) / 2 + 63) / 64; }
-
-/// Writes the pair bitset of `p` (bit k ↔ the k-th pair i < j in row-major
-/// upper-triangle order) into `out`, which must hold PairWords(n) words.
-void FillPairBits(const lat::Partition& p, uint64_t* out) {
-  const size_t n = p.num_elements();
-  std::fill(out, out + PairWords(n), uint64_t{0});
-  const std::vector<int>& block = p.labels();
-  size_t bit = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j, ++bit) {
-      if (block[i] == block[j]) out[bit / 64] |= uint64_t{1} << (bit % 64);
-    }
-  }
-}
-
-}  // namespace
-
 void InferenceEngine::PrepareLookahead(LookaheadCache& cache) const {
   const size_t n = store_->num_attributes();
   const std::vector<size_t>& informative = session_->informative;
   const size_t positions = informative.size();
-  const size_t pairs = n * (n - 1) / 2;
-  const size_t pair_words = PairWords(n);
+  const size_t pairs = lat::NumPairs(n);
+  const size_t pair_words = pair_words_;
   const size_t worklist_words = (positions + 63) / 64;
   cache.worklist_size = positions;
   cache.num_pairs = pairs;
@@ -468,7 +475,7 @@ void InferenceEngine::PrepareLookahead(LookaheadCache& cache) const {
   for (size_t i = 0; i < positions; ++i) {
     const size_t c = informative[i];
     uint64_t* bits = cache.pair_bits.data() + i * pair_words;
-    FillPairBits((*knowledge_)[c], bits);
+    std::copy_n(ClassKnowledgeBits(c), pair_words, bits);
     const uint64_t position_bit = uint64_t{1} << (i % 64);
     uint64_t* slices = cache.pair_slices.data() + (i / 64) * pairs;
     for (size_t w = 0; w < pair_words; ++w) {
@@ -492,33 +499,39 @@ void InferenceEngine::PrepareLookahead(LookaheadCache& cache) const {
       if (low != v) sums[v] = sums[low] + sums[v - low];
     }
   }
-  const std::vector<lat::Partition>& members = state_.negatives().members();
-  cache.antichain_bits.resize(members.size() * pair_words);
-  for (size_t a = 0; a < members.size(); ++a) {
-    FillPairBits(members[a], cache.antichain_bits.data() + a * pair_words);
-  }
-  // Audit: every bitset re-derived from Partition::Pairs() through the
-  // closed-form pair index.
-  const auto audited = [n, pair_words](const lat::Partition& p,
-                                       const uint64_t* bits) {
+  cache.antichain_bits = state_.negative_bits();
+  // Audit: every bitset re-derived through Partition::Pairs() and the
+  // closed-form pair index, K_c from a from-scratch partition meet; the
+  // zones compare as a set, since their order is immaterial.
+  const auto pair_set = [n, pair_words](const lat::Partition& p) {
     std::vector<uint64_t> expected(pair_words, 0);
     for (const auto& [i, j] : p.Pairs()) {
-      const size_t bit = i * (2 * n - i - 1) / 2 + (j - i - 1);
+      const size_t bit = lat::PairIndex(n, i, j);
       expected[bit / 64] |= uint64_t{1} << (bit % 64);
     }
-    return expected == std::vector<uint64_t>(bits, bits + pair_words);
+    return expected;
   };
   JIM_AUDIT({
+    const lat::Partition theta = state_.theta_p();
     for (size_t i = 0; i < positions; ++i) {
-      JIM_CHECK(audited(ClassKnowledge(informative[i]),
-                        cache.pair_bits.data() + i * pair_words))
+      const uint64_t* bits = cache.pair_bits.data() + i * pair_words;
+      JIM_CHECK(pair_set(theta.Meet((*classes_)[informative[i]].partition)) ==
+                std::vector<uint64_t>(bits, bits + pair_words))
           << "stale pair bitset for class " << informative[i];
     }
-    for (size_t a = 0; a < members.size(); ++a) {
-      JIM_CHECK(
-          audited(members[a], cache.antichain_bits.data() + a * pair_words))
-          << "stale pair bitset for antichain member " << a;
+    const lat::Antichain zones = state_.negatives();
+    std::vector<std::vector<uint64_t>> expected;
+    std::vector<std::vector<uint64_t>> actual;
+    for (const lat::Partition& m : zones.members()) {
+      expected.push_back(pair_set(m));
     }
+    for (size_t a = 0; a < state_.num_negatives(); ++a) {
+      const uint64_t* bits = cache.antichain_bits.data() + a * pair_words;
+      actual.emplace_back(bits, bits + pair_words);
+    }
+    std::sort(expected.begin(), expected.end());
+    std::sort(actual.begin(), actual.end());
+    JIM_CHECK(expected == actual) << "stale antichain pair bitsets";
   });
 }
 
@@ -607,7 +620,34 @@ void InferenceEngine::CheckInvariants() const {
   const size_t num_classes = classes_->size();
   JIM_CHECK_EQ(class_of_tuple_->size(), num_tuples);
   JIM_CHECK_EQ(session_->class_status.size(), num_classes);
-  JIM_CHECK_EQ(knowledge_->size(), num_classes);
+  JIM_CHECK_EQ(pair_words_, lat::PairWords(store_->num_attributes()));
+  JIM_CHECK_EQ(knowledge_->pairs.size(), num_classes * pair_words_);
+  JIM_CHECK_EQ(knowledge_->rank.size(), num_classes);
+
+  // θ_P and the forbidden zones, re-derived from the history with partition
+  // meets: θ_P is the meet of Part over the positive labels, and the zones
+  // are the maximal θ_P ∧ Part(s) over the negative labels s (a zone
+  // inserted earlier was clipped to every later θ_P, and a label on a
+  // forced or labeled class adds nothing the maximum does not hold).
+  lat::Partition theta = lat::Partition::Top(store_->num_attributes());
+  for (const LabeledExample& example : history_) {
+    if (example.label == Label::kPositive) {
+      theta = theta.Meet(
+          (*classes_)[(*class_of_tuple_)[example.tuple_index]].partition);
+    }
+  }
+  lat::Antichain zones;
+  for (const LabeledExample& example : history_) {
+    if (example.label == Label::kNegative) {
+      zones.Insert(theta.Meet(
+          (*classes_)[(*class_of_tuple_)[example.tuple_index]].partition));
+    }
+  }
+  JIM_CHECK(state_.theta_p() == theta)
+      << "θ_P " << state_.theta_p().ToString()
+      << " differs from the history's meet " << theta.ToString();
+  JIM_CHECK_EQ(state_.negatives().ToString(), zones.ToString())
+      << "forbidden zones differ from the history's";
 
   // Classes partition the tuple set, in agreement with class_of_tuple_.
   size_t members_total = 0;
@@ -655,12 +695,16 @@ void InferenceEngine::CheckInvariants() const {
   for (size_t c = 0; c < num_classes; ++c) {
     const lat::Partition& part = (*classes_)[c].partition;
     switch (session_->class_status[c]) {
-      case ClassStatus::kInformative:
-        JIM_CHECK((*knowledge_)[c] == state_.theta_p().Meet(part))
+      case ClassStatus::kInformative: {
+        const lat::Partition knowledge = theta.Meet(part);
+        JIM_CHECK(ClassKnowledge(c) == knowledge)
             << "stale knowledge cache K_" << c;
+        JIM_CHECK_EQ(ClassKnowledgeRank(c), knowledge.Rank())
+            << "stale knowledge rank of K_" << c;
         JIM_CHECK(state_.Classify(part) == TupleClassification::kInformative)
             << "class " << c << " marked informative but classifies otherwise";
         break;
+      }
       case ClassStatus::kForcedPositive:
         JIM_CHECK(state_.Classify(part) ==
                   TupleClassification::kForcedPositive)

@@ -11,6 +11,7 @@
 #include "core/join_predicate.h"
 #include "core/tuple_store.h"
 #include "exec/thread_pool.h"
+#include "lattice/pair_set.h"
 #include "lattice/partition.h"
 #include "relational/relation.h"
 #include "util/bitset.h"
@@ -76,6 +77,13 @@ inline bool IsPositive(ClassStatus status) {
 /// attributes has at most Bell(n) classes (203 at n = 6), so retesting each
 /// against what the label changed is cheaper than maintaining an index of
 /// which classes a label can affect.
+///
+/// Everything a label touches is an attribute-pair set (lattice/pair_set.h):
+/// θ_P and the forbidden zones inside InferenceState, and the per-class
+/// knowledge K_c here. A pair set determines its partition, meet is AND,
+/// K ≤ K′ is a subset test and K = θ_P is word equality, so propagation is
+/// exact and costs ⌈P ÷ 64⌉ words per test (P = n(n−1)/2; one word up to 11
+/// attributes). Partition values are built only for callers that want one.
 ///
 /// The engine consumes the instance through the TupleStore seam: class
 /// construction (Part(t) for every tuple) runs on integer codes — a
@@ -148,13 +156,26 @@ class InferenceEngine {
     return session_->informative;
   }
 
-  /// Cached knowledge partition K_c = θ_P ∧ Part(c) of an *informative*
-  /// class (the cache goes stale — harmlessly — once a class leaves the
-  /// pool). Maintained incrementally: a positive label shrinks θ_P, and
-  /// since the new θ_P refines the old one, K_c' = K_c ∧ θ_P' over the
-  /// already-shrunk cache; negative labels leave θ_P (and the cache) alone.
-  const lat::Partition& ClassKnowledge(size_t class_id) const {
-    return (*knowledge_)[class_id];
+  /// Cached knowledge K_c = θ_P ∧ Part(c) of an *informative* class (the
+  /// cache goes stale — harmlessly — once a class leaves the pool), built
+  /// as a partition value from its pair set on each call. The cache is
+  /// maintained incrementally on pair sets: a positive label shrinks θ_P,
+  /// and since the new θ_P refines the old one, pairs(K_c') = pairs(K_c) ∩
+  /// pairs(θ_P') over the already-shrunk cache; negative labels leave θ_P
+  /// (and the cache) alone.
+  lat::Partition ClassKnowledge(size_t class_id) const {
+    return lat::PartitionFromPairBits(store_->num_attributes(),
+                                      ClassKnowledgeBits(class_id));
+  }
+  /// pairs(K_c): lat::PairWords(n) words inside the copy-on-write knowledge
+  /// table, so clones sharing that table return the same address.
+  const uint64_t* ClassKnowledgeBits(size_t class_id) const {
+    return knowledge_->pairs.data() + class_id * pair_words_;
+  }
+  /// Rank of K_c in O(1), for an informative class: Propagate refreshes it
+  /// whenever K_c shrinks (what the local strategies score).
+  size_t ClassKnowledgeRank(size_t class_id) const {
+    return knowledge_->rank[class_id];
   }
 
   /// Total member count over informative classes.
@@ -215,10 +236,12 @@ class InferenceEngine {
 
   /// Per-decision lookahead state, built once by PrepareLookahead and read,
   /// never written, by every candidate of that decision. Partitions are pair
-  /// sets: bit k of a pair bitset is the k-th attribute pair i < j
-  /// (row-major over the upper triangle), set iff i and j share a block, so
-  /// K ≤ K′ iff pairs(K) ⊆ pairs(K′) and pairs(K ∧ K′) = pairs(K) ∩
-  /// pairs(K′). The cache also holds that relation transposed: per pair p,
+  /// sets (lattice/pair_set.h): bit k of a pair bitset is the k-th attribute
+  /// pair i < j (row-major over the upper triangle), set iff i and j share
+  /// a block, so K ≤ K′ iff pairs(K) ⊆ pairs(K′) and pairs(K ∧ K′) =
+  /// pairs(K) ∩ pairs(K′). pair_bits and antichain_bits are copies of the
+  /// engine's K_c words and the state's zone words, never re-derived from
+  /// partitions. The cache also holds that relation transposed: per pair p,
   /// the worklist bitset S_p = {d : p ∈ pairs(K_d)}, which every candidate
   /// reads instead of re-deriving it class by class. A candidate reads only
   /// the slices of the pairs its answers depend on (see SimulateLabelBoth),
@@ -242,7 +265,8 @@ class InferenceEngine {
   };
   /// Fills `cache` for the current worklist. O(worklist · n²). Invalidated
   /// by any accepted label (like InformativeClasses()). Under JIM_AUDIT the
-  /// pair bitsets are re-derived from Partition::Pairs() and compared.
+  /// pair bitsets are re-derived from from-scratch partition meets through
+  /// Partition::Pairs() and compared.
   void PrepareLookahead(LookaheadCache& cache) const;
 
   /// The lookahead kernel: both answers' impacts of labeling the informative
@@ -298,12 +322,15 @@ class InferenceEngine {
 
   /// Invariant audit (see util/check.h), re-deriving the engine's contracts
   /// from scratch and JIM_CHECK-failing on any disagreement:
-  ///   - the inference state is internally consistent (θ_P / antichain);
+  ///   - the inference state is internally consistent (θ_P / antichain),
+  ///     and θ_P and the antichain equal the partition meets re-derived
+  ///     from history(): θ_P = ⋀ Part over positive labels, the zones the
+  ///     maximal θ_P ∧ Part(s) over negative labels s;
   ///   - classes partition the tuple set and agree with class_of_tuple;
   ///   - the worklist is exactly the ascending list of kInformative classes;
-  ///   - for every informative class, the cached knowledge K_c equals a
-  ///     from-scratch θ_P ∧ Part(c) recompute, and the incremental status of
-  ///     every class matches a fresh InferenceState::Classify;
+  ///   - for every informative class, the cached K_c words and rank equal a
+  ///     from-scratch θ_P ∧ Part(c) partition meet, and the incremental
+  ///     status of every class matches a fresh InferenceState::Classify;
   ///   - the labeled-tuple list is exactly the tuples of history(), and every
   ///     history label agrees with its class's kLabeled* status;
   ///   - the copy-on-write holders are attached and correctly sized.
@@ -337,21 +364,30 @@ class InferenceEngine {
   /// session arrays uniquely (constructor, or LabelImpl after
   /// MutableSession).
   ///
-  /// After a negative label, `new_zone` is the labeled class's K_c, the
-  /// forbidden zone just added: θ_P and every older zone are unchanged, so a
-  /// class leaves the pool iff K_c ≤ `new_zone` (one RefinesWith each).
-  /// Otherwise (construction, or a positive label shrank θ_P; `new_zone` is
-  /// nullptr) each cache entry is refreshed in place, K_c ← K_c ∧ θ_P, and
-  /// the class is forced positive iff K_c == θ_P, else forced negative iff
-  /// the antichain dominates K_c.
-  LabelImpact Propagate(const lat::Partition* new_zone);
+  /// After a negative label, `new_zone` is the labeled class's K_c words,
+  /// the forbidden zone just added: θ_P and every older zone are unchanged,
+  /// so a class leaves the pool iff pairs(K_c) ⊆ `new_zone` (one subset
+  /// test each). Otherwise (construction, or a positive label shrank θ_P;
+  /// `new_zone` is nullptr) each cache entry is refreshed in place,
+  /// K_c ← K_c ∩ θ_P, and InferenceState::ClassifyPairs decides it: forced
+  /// positive iff K_c == θ_P, else forced negative iff a zone contains K_c.
+  /// A survivor whose K_c lost a pair gets its rank recomputed.
+  LabelImpact Propagate(const uint64_t* new_zone);
   /// Drops `class_id` from the worklist (on explicit labeling).
   void RemoveFromWorklist(size_t class_id);
 
+  /// K_c for every class as one flat table: pair sets back to back
+  /// (pair_words_ words per class) and their ranks. A detach copies the two
+  /// vectors, no per-class heap objects.
+  struct KnowledgeTable {
+    std::vector<uint64_t> pairs;
+    std::vector<uint32_t> rank;
+  };
+
   /// Detaches knowledge_ from any sharers (copy-on-first-mutate) and returns
-  /// the sole-owner vector. Everything that writes K_c goes through here.
+  /// the sole-owner table. Everything that writes K_c goes through here.
   /// Each real copy counts one engine.cow_detaches.
-  std::vector<lat::Partition>& MutableKnowledge();
+  KnowledgeTable& MutableKnowledge();
   /// Same for the session arrays; every accepted label detaches once up
   /// front (a no-op on a sole owner).
   SessionArrays& MutableSession();
@@ -365,15 +401,14 @@ class InferenceEngine {
   /// Per-session flat arrays, copy-on-write across clones (see
   /// SessionArrays).
   std::shared_ptr<SessionArrays> session_;
+  /// Words per pair set over this instance's attributes.
+  size_t pair_words_ = 0;
   /// K_c per class; fresh for informative classes (see ClassKnowledge).
-  /// Copy-on-write: clones share the vector until their first knowledge
+  /// Copy-on-write: clones share the table until their first knowledge
   /// mutation (a positive label), which makes engine copies cheap enough to
   /// fan batches of sessions out over clones (exec::BatchSessionRunner).
   /// Negative-only histories never pay for a copy at all.
-  std::shared_ptr<std::vector<lat::Partition>> knowledge_;
-  /// Scratch state for the allocation-free propagation kernels. Copying an
-  /// engine copies only warmed capacity, never live data.
-  lat::PartitionScratch scratch_;
+  std::shared_ptr<KnowledgeTable> knowledge_;
   LabeledExamples history_;
   /// Tuples the user labeled explicitly, ascending and distinct: the
   /// tuple-level view of history_ that tuple_status binary-searches. The

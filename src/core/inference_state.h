@@ -7,6 +7,7 @@
 
 #include "core/example.h"
 #include "lattice/antichain.h"
+#include "lattice/pair_set.h"
 #include "lattice/partition.h"
 #include "util/status.h"
 
@@ -37,6 +38,16 @@ std::string_view TupleClassificationToString(TupleClassification c);
 ///          Part(s) per (non-redundant) negative example s. A predicate θ is
 ///          inconsistent iff θ ≤ M for some member.
 ///
+/// Both are stored as attribute-pair sets (lattice/pair_set.h): θ_P is
+/// PairWords(n) words and the antichain a flat list of member pair sets, in
+/// no particular order. The representation is exact — a partition is
+/// determined by its pair set, meet is AND, θ ≤ M is a subset test and
+/// K = θ_P is word equality — so classifying a tuple or applying a label is
+/// a loop over ⌈P ÷ 64⌉ words per member, with no partition algebra and no
+/// allocation past the antichain's own growth. Partition values are built
+/// on demand for the callers that want them (theta_p(), negatives(),
+/// CountConsistent, CanonicalKey).
+///
 /// The state is deliberately independent of the instance: it summarizes
 /// labels in O(poly(#attributes)) space regardless of how many tuples were
 /// labeled. The engine layers tuple bookkeeping on top.
@@ -47,8 +58,18 @@ class InferenceState {
   explicit InferenceState(size_t num_attributes);
 
   size_t num_attributes() const { return num_attributes_; }
-  const lat::Partition& theta_p() const { return theta_p_; }
-  const lat::Antichain& negatives() const { return negatives_; }
+  /// Words per pair set: lat::PairWords(num_attributes()), 0 for n ≤ 1.
+  size_t pair_words() const { return words_; }
+  /// pairs(θ_P), pair_words() words.
+  const uint64_t* theta_p_bits() const { return theta_p_.data(); }
+  /// The antichain's member pair sets, back to back, pair_words() words
+  /// each (see num_negatives()).
+  const std::vector<uint64_t>& negative_bits() const { return negatives_; }
+  size_t num_negatives() const { return num_negatives_; }
+
+  /// θ_P and the antichain as partition values, built on each call.
+  lat::Partition theta_p() const;
+  lat::Antichain negatives() const;
   bool has_positive_example() const { return has_positive_example_; }
 
   /// True iff `candidate` is consistent with every label so far.
@@ -57,16 +78,11 @@ class InferenceState {
   /// Classifies a tuple by its value partition Part(t).
   TupleClassification Classify(const lat::Partition& tuple_partition) const;
 
-  /// Allocation-free classification: the forced-positive test uses
-  /// MeetEqualsLeft (no meet materialized at all), and only if that fails is
-  /// the knowledge meet computed — into `meet_tmp` via scratch kernels.
-  /// Identical result to Classify.
-  TupleClassification ClassifyWith(const lat::Partition& tuple_partition,
-                                   lat::Partition& meet_tmp,
-                                   lat::PartitionScratch& scratch) const;
-
-  /// The knowledge gained from labeling the tuple: K = θ_P ∧ Part(t).
-  lat::Partition Knowledge(const lat::Partition& tuple_partition) const;
+  /// Classify on pair sets: `pairs` is pairs(Part(t)), or any pair set whose
+  /// meet with θ_P is K = θ_P ∧ Part(t) (the engine passes its cached K_c).
+  /// Forced positive iff θ_P ⊆ pairs; forced negative iff θ_P ∩ pairs lies
+  /// in some member. Allocation-free.
+  TupleClassification ClassifyPairs(const uint64_t* pairs) const;
 
   /// The verdict on labeling a tuple of this classification: kOk, or
   /// kFailedPrecondition when the label contradicts it (a forced-positive
@@ -83,6 +99,15 @@ class InferenceState {
   /// way).
   util::Status ApplyLabel(const lat::Partition& tuple_partition, Label label);
 
+  /// ApplyLabel for a tuple already classified, with the label already
+  /// accepted by CheckLabel: the engine knows both from its incremental
+  /// status, so a class is never re-classified. `knowledge` is
+  /// K = θ_P ∧ Part(t) (read only when the tuple is informative).
+  ///   negative: drop the members ⊆ K, then add K;
+  ///   positive: θ_P ← K, clip every member to it, keep the maximal ones.
+  void ApplyClassified(const uint64_t* knowledge,
+                       TupleClassification classification, Label label);
+
   /// Exact number of consistent predicates, by enumerating refinements of
   /// θ_P. Exponential; JIM_CHECK-fails if the refinement count exceeds
   /// `limit`. For tests, the optimal strategy, and exact-entropy scoring.
@@ -91,13 +116,13 @@ class InferenceState {
   /// Canonical memoization key: θ_P plus the sorted antichain.
   std::string CanonicalKey() const;
 
-  /// Compact memoization key: the canonical label vectors (θ_P, then the
-  /// antichain members in RGS order, -1 separated) with a precomputed 64-bit
-  /// hash. Equality is exact (the hash is only a fast path), so two states
-  /// share a StateKey iff they share a CanonicalKey — without building a
-  /// single string. This is what MinimaxSolver memoizes on.
+  /// Compact memoization key: pairs(θ_P), then the member pair sets in
+  /// ascending word order, with a precomputed 64-bit hash. Pair sets are
+  /// exact and fixed-width and the members are sorted, so two states share
+  /// a StateKey iff they share a CanonicalKey — without building a single
+  /// string. This is what MinimaxSolver memoizes on.
   struct StateKey {
-    std::vector<int> encoded;
+    std::vector<uint64_t> encoded;
     uint64_t hash = 0;
 
     friend bool operator==(const StateKey& a, const StateKey& b) {
@@ -117,18 +142,23 @@ class InferenceState {
   /// an apply/undo pair never reallocates in steady state.
   void Swap(InferenceState& other) noexcept;
 
-  /// Invariant audit (see util/check.h): θ_P and the antichain are each
-  /// internally canonical, of the right arity, every forbidden member lies
-  /// strictly below θ_P (ApplyLabel always inserts θ_P ∧ Part(s), and
-  /// RestrictTo clips the antichain whenever θ_P shrinks), θ_P itself stays
-  /// consistent, and with no positive example yet θ_P is still ⊤.
-  /// JIM_CHECK-fails on any violation.
+  /// Invariant audit (see util/check.h): θ_P and every member are pair sets
+  /// of partitions of the right arity (transitively closed, no bit past P),
+  /// the members are pairwise incomparable, every member lies strictly
+  /// below θ_P (ApplyClassified inserts θ_P ∧ Part(s) and re-clips on every
+  /// θ_P shrink), θ_P itself stays consistent, and with no positive example
+  /// yet θ_P is still ⊤. JIM_CHECK-fails on any violation.
   void CheckInvariants() const;
 
  private:
+  /// True iff `pairs` lies in some member (θ ≤ M).
+  bool Dominated(const uint64_t* pairs) const;
+
   size_t num_attributes_;
-  lat::Partition theta_p_;
-  lat::Antichain negatives_;
+  size_t words_;
+  std::vector<uint64_t> theta_p_;
+  std::vector<uint64_t> negatives_;
+  size_t num_negatives_ = 0;
   bool has_positive_example_ = false;
 };
 

@@ -9,7 +9,8 @@ SpeculativeSession::SpeculativeSession(const InferenceEngine& engine)
       state_(engine.state()),
       sentinel_(engine.num_classes()),
       next_(engine.num_classes() + 1),
-      prev_(engine.num_classes() + 1) {
+      prev_(engine.num_classes() + 1),
+      knowledge_(engine.state().pair_words()) {
   // Thread the live list through the informative worklist (ascending).
   uint32_t tail = static_cast<uint32_t>(sentinel_);
   for (size_t c : engine.InformativeClasses()) {
@@ -45,8 +46,16 @@ void SpeculativeSession::Apply(size_t class_id, Label label) {
   Frame& frame = frames_[depth_];
   ++depth_;
 
-  JIM_CHECK_OK(
-      state_.ApplyLabel(engine_.tuple_class(class_id).partition, label));
+  // K = θ_P ∧ Part(c) on the speculative θ_P, from the engine's cached
+  // K_c: the speculative θ_P refines the engine's, so θ_P ∩ K_c = θ_P ∩
+  // Part(c). A live class is informative, so it accepts either answer.
+  const uint64_t* theta = state_.theta_p_bits();
+  const uint64_t* cached = engine_.ClassKnowledgeBits(class_id);
+  for (size_t w = 0; w < knowledge_.size(); ++w) {
+    knowledge_[w] = theta[w] & cached[w];
+  }
+  state_.ApplyClassified(knowledge_.data(), TupleClassification::kInformative,
+                         label);
 
   // The labeled class leaves first (its status is now settled), then one
   // walk of the remaining live list removes everything the new state
@@ -56,8 +65,8 @@ void SpeculativeSession::Apply(size_t class_id, Label label) {
   frame.removed.push_back(static_cast<uint32_t>(class_id));
   for (size_t c = FirstLive(); c != LiveEnd();) {
     const size_t next = NextLive(c);
-    if (state_.ClassifyWith(engine_.tuple_class(c).partition, meet_tmp_,
-                            scratch_) != TupleClassification::kInformative) {
+    if (state_.ClassifyPairs(engine_.ClassKnowledgeBits(c)) !=
+        TupleClassification::kInformative) {
       Unlink(c);
       frame.removed.push_back(static_cast<uint32_t>(c));
     }
@@ -93,13 +102,11 @@ void SpeculativeSession::CheckInvariants() const {
   }
   JIM_CHECK_EQ(static_cast<size_t>(prev_[sentinel_]), last);
   JIM_CHECK_EQ(count, num_live_);
-  // Live = engine-informative classes still informative under state().
-  lat::Partition meet_tmp;
-  lat::PartitionScratch scratch;
+  // Live = engine-informative classes still informative under state(),
+  // classified from Part(c) rather than the engine's K_c.
   for (size_t c : engine_.InformativeClasses()) {
-    const bool expect_live =
-        state_.ClassifyWith(engine_.tuple_class(c).partition, meet_tmp,
-                            scratch) == TupleClassification::kInformative;
+    const bool expect_live = state_.Classify(engine_.tuple_class(c).partition) ==
+                             TupleClassification::kInformative;
     JIM_CHECK_EQ(IsLive(c), expect_live)
         << "live list disagrees with classification for class " << c;
   }

@@ -6,7 +6,6 @@
 
 #include "core/engine.h"
 #include "core/inference_state.h"
-#include "lattice/partition.h"
 
 namespace jim::core {
 
@@ -29,8 +28,10 @@ namespace jim::core {
 ///     reverse order re-links every node with two stores — so Undo costs
 ///     O(#classes removed by that Apply), nothing else;
 ///   - propagation after an Apply is a single walk of the (already shrunken)
-///     live list using the allocation-free InferenceState::ClassifyWith; no
-///     per-class knowledge is cached, so there is nothing else to undo.
+///     live list, classifying each class's cached engine K_c words with the
+///     allocation-free InferenceState::ClassifyPairs (the speculative θ_P
+///     refines the engine's, so θ_P ∩ K_c = θ_P ∩ Part(c)); the session
+///     caches no knowledge of its own, so there is nothing else to undo.
 ///
 /// The live list preserves ascending class-id order across any Apply/Undo
 /// sequence (removals keep order; reverse-order restore is exact), so
@@ -105,9 +106,8 @@ class SpeculativeSession {
   size_t num_live_ = 0;
   std::vector<Frame> frames_;  ///< pooled; frames_[0..depth_) are active
   size_t depth_ = 0;
-  // Scratch for the allocation-free classify/meet kernels.
-  lat::PartitionScratch scratch_;
-  lat::Partition meet_tmp_;
+  // K of the class being applied, pair_words() words.
+  std::vector<uint64_t> knowledge_;
 };
 
 }  // namespace jim::core

@@ -89,10 +89,10 @@ std::vector<double> LocalStrategy::Score(const InferenceEngine& engine) {
   const std::vector<size_t>& candidates = engine.InformativeClasses();
   std::vector<double> scores(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    // Candidates are informative, so the engine's knowledge cache is fresh —
-    // no meet needed to read the rank of K = θ_P ∧ Part(t).
+    // Candidates are informative, so the engine's cached rank of
+    // K = θ_P ∧ Part(t) is fresh — no meet needed.
     const double rank =
-        static_cast<double>(engine.ClassKnowledge(candidates[i]).Rank());
+        static_cast<double>(engine.ClassKnowledgeRank(candidates[i]));
     scores[i] = direction_ == Direction::kBottomUp ? -rank : rank;
   }
   return scores;
@@ -176,7 +176,7 @@ namespace {
 /// node costs O(classes pruned by its label) bookkeeping instead of the old
 /// full-engine rescan (classify *every* class) plus an InferenceState copy
 /// per answer branch. A state is summarized by its compact StateKey
-/// (canonical label vectors + precomputed hash — no string rendering on the
+/// (sorted pair-set words + precomputed hash — no string rendering on the
 /// memo path); the candidate iteration order is the session's ascending live
 /// list, exactly the worklist order the rescan produced, so memoized values
 /// and tie-breaks are unchanged.

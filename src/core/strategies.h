@@ -134,6 +134,13 @@ class LookaheadStrategy : public Strategy {
 /// JIM_CHECK, so use only on tiny instances (bench S4).
 class OptimalStrategy : public Strategy {
  public:
+  /// The most informative classes the search is known to finish on: 16
+  /// classes take 142 ms (bench_optimal_gap, 5 attributes × 25 tuples),
+  /// while 152 classes ran past 120 s. A serving daemon refuses the
+  /// strategy on larger instances rather than stall a handler on a search
+  /// that may end only at the node budget's abort.
+  static constexpr size_t kMaxInformativeClasses = 16;
+
   explicit OptimalStrategy(size_t node_budget = 2'000'000);
   std::string_view name() const override { return "optimal"; }
   std::vector<double> Score(const InferenceEngine& engine) override;

@@ -41,16 +41,6 @@ bool Antichain::DominatedBy(const Partition& q) const {
   return false;
 }
 
-bool Antichain::DominatedBy(const Partition& q,
-                            PartitionScratch& scratch) const {
-  const size_t rank = q.Rank();
-  for (const Partition& m : members_) {
-    if (m.Rank() < rank) break;
-    if (q.RefinesWith(m, scratch)) return true;
-  }
-  return false;
-}
-
 bool Antichain::Contains(const Partition& q) const {
   for (const Partition& m : members_) {
     if (m == q) return true;

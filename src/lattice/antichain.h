@@ -31,11 +31,6 @@ class Antichain {
   /// True iff q ≤ m for some member m (q is "covered"/forbidden).
   bool DominatedBy(const Partition& q) const;
 
-  /// Allocation-free overload: refinement checks run out of `scratch`
-  /// (Partition::RefinesWith), with the same rank early exit. The hot path
-  /// of the engine's incremental classification.
-  bool DominatedBy(const Partition& q, PartitionScratch& scratch) const;
-
   /// True iff q is a member.
   bool Contains(const Partition& q) const;
 

@@ -110,6 +110,15 @@ util::StatusOr<SessionManager::CreateResult> SessionManager::Create(
     }
     ASSIGN_OR_RETURN(Instance * inst,
                      GetOrOpenInstance(instance_name, /*trusted=*/false));
+    const size_t informative = inst->prototype->InformativeClasses().size();
+    if (strategy == "optimal" &&
+        informative > core::OptimalStrategy::kMaxInformativeClasses) {
+      return util::FailedPreconditionError(util::StrFormat(
+          "strategy 'optimal' is an exact search limited to %zu "
+          "informative classes; instance '%s' has %zu",
+          core::OptimalStrategy::kMaxInformativeClasses,
+          instance_name.c_str(), informative));
+    }
     const bool shares_picks = strategy_impl->stateless();
     session = std::make_shared<Session>(*inst->prototype,
                                         std::move(strategy_impl));

@@ -1,7 +1,8 @@
 // Copy-on-write semantics of InferenceEngine clones: the class table is
-// shared outright, the knowledge cache K_c is shared until the clone's
+// shared outright, the knowledge table K_c is shared until the clone's
 // first positive label, and no mutation of a clone is ever visible through
-// its siblings or the prototype.
+// its siblings or the prototype. Sharing of the knowledge table shows as
+// equal ClassKnowledgeBits addresses.
 
 #include <memory>
 
@@ -41,7 +42,7 @@ TEST(EngineCowTest, CloneSharesClassTableAndKnowledge) {
   // not equal copies.
   const size_t c = AnyInformative(prototype);
   EXPECT_EQ(&clone.tuple_class(c), &prototype.tuple_class(c));
-  EXPECT_EQ(&clone.ClassKnowledge(c), &prototype.ClassKnowledge(c));
+  EXPECT_EQ(clone.ClassKnowledgeBits(c), prototype.ClassKnowledgeBits(c));
 }
 
 TEST(EngineCowTest, PositiveLabelDetachesKnowledge) {
@@ -56,8 +57,9 @@ TEST(EngineCowTest, PositiveLabelDetachesKnowledge) {
 
   // The class table is immutable and stays shared...
   EXPECT_EQ(&clone.tuple_class(labeled), &prototype.tuple_class(labeled));
-  // ...but the knowledge cache detached: the clone refreshed its own copy.
-  EXPECT_NE(&clone.ClassKnowledge(labeled), &prototype.ClassKnowledge(labeled));
+  // ...but the knowledge table detached: the clone refreshed its own copy.
+  EXPECT_NE(clone.ClassKnowledgeBits(labeled),
+            prototype.ClassKnowledgeBits(labeled));
 
   // The prototype saw nothing: same informative pool, no history, and its
   // K_c is still the construction-time value Part(c) (θ_P = ⊤).
@@ -77,7 +79,7 @@ TEST(EngineCowTest, NegativeLabelsNeverCopyTheKnowledge) {
   for (int i = 0; i < 3 && !clone.IsDone(); ++i) {
     const size_t c = AnyInformative(clone);
     ASSERT_TRUE(clone.SubmitClassLabel(c, Label::kNegative).ok());
-    EXPECT_EQ(&clone.ClassKnowledge(0), &prototype.ClassKnowledge(0))
+    EXPECT_EQ(clone.ClassKnowledgeBits(0), prototype.ClassKnowledgeBits(0))
         << "after negative label " << i;
   }
 }

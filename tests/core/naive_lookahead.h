@@ -1,6 +1,7 @@
 // The naive lookahead references the parity suites pin the engine to:
-//   - NaiveSimulateLabel: one answer's impact from a full copy of the
-//     inference state and a rescan of every informative class;
+//   - NaiveSimulateLabel: one answer's impact from a naive partition-based
+//     copy of the inference state (naive_inference_state.h) and a rescan of
+//     every informative class;
 //   - NaiveSimulateLabelBoth: both answers, from two such rescans;
 //   - NaiveLookaheadPick: every sampled candidate scored from those counts,
 //     then the argmax with ties toward the smallest worklist index.
@@ -16,6 +17,7 @@
 #include "core/engine.h"
 #include "core/inference_state.h"
 #include "core/strategies.h"
+#include "naive_inference_state.h"
 #include "util/check.h"
 
 namespace jim::core {
@@ -27,7 +29,7 @@ inline InferenceEngine::LabelImpact NaiveSimulateLabel(
     const InferenceEngine& engine, size_t class_id, Label label) {
   JIM_CHECK_LT(class_id, engine.num_classes());
   JIM_CHECK(engine.class_status(class_id) == ClassStatus::kInformative);
-  InferenceState hypothetical = engine.state();
+  NaiveInferenceState hypothetical(engine.state());
   // An informative class accepts either label by definition.
   JIM_CHECK_OK(
       hypothetical.ApplyLabel(engine.tuple_class(class_id).partition, label));

@@ -760,6 +760,44 @@ Labels DriveCheckingPicks(SessionManager& manager,
   }
 }
 
+TEST(SessionManagerTest, OptimalIsRefusedAboveItsClassLimit) {
+  // The exact minimax search cannot finish on the synthetic instance's
+  // classes: create refuses it with a typed error instead of letting a
+  // suggest stall its handler, and the daemon keeps serving.
+  auto store = ManyClassStore(5);
+  ASSERT_GT(core::InferenceEngine(store).InformativeClasses().size(),
+            core::OptimalStrategy::kMaxInformativeClasses);
+  auto manager = MakeManager();
+  manager->RegisterInstance("synthetic", store);
+  auto refused = manager->Create("synthetic", "optimal", "", 1, 0);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(manager->GetStats().live, 0u);
+
+  auto served = manager->Create("synthetic", "lookahead-entropy", "", 1, 0);
+  ASSERT_TRUE(served.ok()) << served.status();
+  auto suggested = manager->Suggest(served->session_id);
+  ASSERT_TRUE(suggested.ok()) << suggested.status();
+  EXPECT_FALSE(suggested->done);
+
+  // Figure 1 is within the limit: accepted, and it identifies its goal.
+  ASSERT_LE(core::InferenceEngine(workload::Figure1StorePtr())
+                .InformativeClasses()
+                .size(),
+            core::OptimalStrategy::kMaxInformativeClasses);
+  auto optimal = manager->Create("figure1", "optimal", "", 1, 0);
+  ASSERT_TRUE(optimal.ok()) << optimal.status();
+  const auto goal = core::JoinPredicate::Parse(
+                        workload::Figure1StorePtr()->schema(), workload::kQ2)
+                        .value();
+  DriveToDone(*manager, optimal->session_id, goal,
+              *workload::Figure1StorePtr());
+  auto status = manager->Status(optimal->session_id);
+  ASSERT_TRUE(status.ok()) << status.status();
+  EXPECT_TRUE(status->done);
+  EXPECT_EQ(manager->GetStats().live, 2u);
+}
+
 TEST(SessionManagerTest, SharedFirstPicksEqualFreshPicksForEveryStatelessStrategy) {
   // Every session follows the script (it answers each suggestion), so its
   // root suggest reads slot 0 and its second suggest slot 1 + answer. The
