@@ -102,18 +102,17 @@ void RegisterAll(std::vector<BenchResult>& results) {
   for (size_t tuples : {1000, 10000, 100000}) {
     const auto workload = MakeSynthetic(tuples, 5);
     // The historical cross-commit metric: full class construction over a
-    // pre-encoded store on the serial path (parallelism is measured
-    // explicitly below, at controlled thread counts).
+    // pre-encoded store.
     results.push_back(RunBench("EngineBuild", static_cast<int64_t>(tuples), [&] {
-      core::InferenceEngine engine(workload.store, /*pool=*/nullptr);
+      core::InferenceEngine engine(workload.store);
       DoNotOptimize(engine.num_classes());
     }));
   }
   // The columnar ingest pipeline, measured in its two stages:
   //   IngestEncode      — dictionary-encoding a materialized relation into a
   //                       RelationTupleStore (arg = tuples);
-  //   BuildClasses{10k,100k} — code-kernel Part(t) extraction + grouping at
-  //                       controlled thread counts (arg = threads);
+  //   BuildClasses{10k,100k} — the one-pass pair-set class build over the
+  //                       encoded store (arg = tuples);
   //   BuildClassesLegacy{10k,100k} — the pre-columnar reference: Part(t) via
   //                       Value::Equals (TuplePartition) per row, classes
   //                       grouped in a Partition-keyed hash map.
@@ -132,15 +131,13 @@ void RegisterAll(std::vector<BenchResult>& results) {
                                                    /*pool=*/nullptr)
                                                    ->num_tuples());
                                }));
+    results.push_back(RunBench(std::string("BuildClasses") + suffix,
+                               static_cast<int64_t>(tuples), [&] {
+                                 core::InferenceEngine engine(workload.store);
+                                 DoNotOptimize(engine.num_classes());
+                               }));
     for (size_t threads : {1, 4}) {
       exec::ThreadPool pool(threads);
-      results.push_back(RunBench(std::string("BuildClasses") + suffix,
-                                 static_cast<int64_t>(threads), [&] {
-                                   core::InferenceEngine engine(
-                                       workload.store,
-                                       threads > 1 ? &pool : nullptr);
-                                   DoNotOptimize(engine.num_classes());
-                                 }));
       // The chunked-dictionary parallel ingest (arg = threads; 1 is the
       // serial reference — codes are bitwise-identical at any count).
       results.push_back(RunBench(std::string("IngestEncodeParallel") + suffix,
@@ -163,22 +160,26 @@ void RegisterAll(std::vector<BenchResult>& results) {
           DoNotOptimize(ids.size());
         }));
   }
-  // The persistent tier: cold-opening the 100k instance from a JIMC file
-  // (mmap + full validation pass) vs re-encoding it in memory
-  // (IngestEncode above, same seed), and class construction served
+  // The persistent tier: writing the 100k instance to a JIMC file (encode,
+  // checksums and the durable tmp → fsync → rename → dir-fsync sequence),
+  // cold-opening it (mmap + full validation pass) vs re-encoding it in
+  // memory (IngestEncode above, same seed), and class construction served
   // zero-copy from the mapping. WriteJson derives
-  // mmap_open_tuples_per_sec, mmap_build_classes_tuples_per_sec, and the
-  // cold-open vs in-memory-ingest comparison key from these.
+  // write_store_tuples_per_sec, mmap_open_tuples_per_sec,
+  // mmap_build_classes_tuples_per_sec, and the cold-open vs
+  // in-memory-ingest comparison key from these.
   {
     const auto workload = MakeSynthetic(100000, 9);
     const std::string path = "bench_micro_tmp.jimc";
-    JIM_CHECK_OK(storage::WriteStore(*workload.store, path));
+    results.push_back(RunBench("WriteStore", 100000, [&] {
+      JIM_CHECK_OK(storage::WriteStore(*workload.store, path));
+    }));
     results.push_back(RunBench("MmapOpen", 100000, [&] {
       DoNotOptimize(storage::OpenStore(path).value()->num_tuples());
     }));
     const auto mapped = storage::OpenStore(path).value();
     results.push_back(RunBench("MmapBuildClasses", 100000, [&] {
-      core::InferenceEngine engine(mapped, /*pool=*/nullptr);
+      core::InferenceEngine engine(mapped);
       DoNotOptimize(engine.num_classes());
     }));
     std::remove(path.c_str());
@@ -454,25 +455,16 @@ bool WriteJson(const std::vector<BenchResult>& results,
       json.KeyValue("ingest_encode_tuples_per_sec_" + size.first,
                     size.second * 1e9 / encode_ns);
     }
-    const double build_1t = find_ns("BuildClasses" + size.first, 1);
-    const double build_4t = find_ns("BuildClasses" + size.first, 4);
+    const double build = find_ns("BuildClasses" + size.first,
+                                 static_cast<int64_t>(size.second));
     const double legacy = find_ns("BuildClassesLegacy" + size.first,
                                   static_cast<int64_t>(size.second));
-    if (build_1t > 0) {
-      json.KeyValue("build_classes_tuples_per_sec_" + size.first + "_1t",
-                    size.second * 1e9 / build_1t);
+    if (build > 0) {
+      json.KeyValue("build_classes_tuples_per_sec_" + size.first,
+                    size.second * 1e9 / build);
     }
-    if (build_4t > 0) {
-      json.KeyValue("build_classes_tuples_per_sec_" + size.first + "_4t",
-                    size.second * 1e9 / build_4t);
-    }
-    if (legacy > 0 && build_1t > 0) {
-      json.KeyValue("build_classes_speedup_" + size.first,
-                    legacy / build_1t);
-    }
-    if (legacy > 0 && build_4t > 0) {
-      json.KeyValue("build_classes_speedup_" + size.first + "_4t",
-                    legacy / build_4t);
+    if (legacy > 0 && build > 0) {
+      json.KeyValue("build_classes_speedup_" + size.first, legacy / build);
     }
     const double parallel_ingest_4t =
         find_ns("IngestEncodeParallel" + size.first, 4);
@@ -485,6 +477,11 @@ bool WriteJson(const std::vector<BenchResult>& results,
   // class construction over the mapping, and how a cold open compares with
   // re-encoding the same instance in memory (values > 1: reopening the
   // file beats re-ingesting).
+  const double write_store_ns = find_ns("WriteStore", 100000);
+  if (write_store_ns > 0) {
+    json.KeyValue("write_store_tuples_per_sec",
+                  100000.0 * 1e9 / write_store_ns);
+  }
   const double mmap_open_ns = find_ns("MmapOpen", 100000);
   if (mmap_open_ns > 0) {
     json.KeyValue("mmap_open_tuples_per_sec", 100000.0 * 1e9 / mmap_open_ns);

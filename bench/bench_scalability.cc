@@ -89,8 +89,7 @@ struct IngestPoint {
   OnDiskMeasurement ondisk;
 };
 
-IngestPoint MeasurePoint(size_t flights, size_t hotels,
-                         exec::ThreadPool* pool) {
+IngestPoint MeasurePoint(size_t flights, size_t hotels) {
   IngestPoint p;
   p.ingest.flights = p.ondisk.flights = flights;
   p.ingest.hotels = p.ondisk.hotels = hotels;
@@ -113,7 +112,7 @@ IngestPoint MeasurePoint(size_t flights, size_t hotels,
 
   {
     util::Stopwatch build_clock;
-    const core::InferenceEngine engine(table.store(), pool);
+    const core::InferenceEngine engine(table.store());
     p.ingest.build_classes_millis = build_clock.ElapsedSeconds() * 1e3;
     p.ingest.classes = engine.num_classes();
   }
@@ -132,7 +131,7 @@ IngestPoint MeasurePoint(size_t flights, size_t hotels,
   p.ondisk.resident_bytes = mapped->ApproxBytes();
 
   util::Stopwatch build_clock;
-  const core::InferenceEngine engine(mapped, pool);
+  const core::InferenceEngine engine(mapped);
   p.ondisk.build_classes_millis = build_clock.ElapsedSeconds() * 1e3;
   p.ondisk.classes = engine.num_classes();
   std::remove(path.c_str());
@@ -343,8 +342,7 @@ int main(int argc, char** argv) {
   std::vector<IngestMeasurement> ingest_cells;
   std::vector<OnDiskMeasurement> ondisk_cells;
   for (const auto& [flights, hotels] : ingest_sweep) {
-    const IngestPoint point =
-        MeasurePoint(flights, hotels, threads > 1 ? &pool : nullptr);
+    const IngestPoint point = MeasurePoint(flights, hotels);
     const IngestMeasurement& m = point.ingest;
     ingest_table.AddRow(
         {std::to_string(m.candidate_tuples), std::to_string(m.classes),

@@ -17,10 +17,13 @@
 #                        matches a symbol the instrumented binaries
 #                        actually reference
 #   - ASAN stage         columnar storage/ingest suites plus the lookahead
-#                        pick parity + trail-undo suites under address
+#                        pick parity + trail-undo suites under address, the
+#                        writer's byte parity against its naive reference
+#                        and the class build's against the RGS grouping
 #   - UBSAN stage        integer-kernel + storage suites (the lookahead
 #                        kernel's edge cases and the pair-set inference
-#                        state's 0-, 1- and 2-word parity included) AND
+#                        state's 0-, 1- and 2-word parity and the class
+#                        build's included, and the writer's byte parity) AND
 #                        the deterministic fuzz driver (5000 mutated JIMC
 #                        images, goal strings
 #                        and protocol request lines through ParseJson /
@@ -137,8 +140,9 @@ diff "$smokedir/saved.txt" "$smokedir/loaded.txt"
 #   2. a jim_cli run with --metrics-out and --trace produces stdout
 #      byte-identical to the plain run (all observability output goes to
 #      stderr or the snapshot file);
-#   3. the emitted snapshot actually contains engine, exec, and storage
-#      metrics for a --load-instance session, and a daemon session's
+#   3. the emitted snapshot actually contains engine and storage metrics
+#      for a --load-instance session, exec metrics for a CSV ingest large
+#      enough to run on the shared pool, and a daemon session's
 #      engine.cow_detaches and serve.picks.shared — instrumentation that
 #      silently stops recording is a failure, not a quiet degrade.
 if [[ "${JIM_SKIP_OBS:-0}" == "1" ]]; then
@@ -156,7 +160,7 @@ else
   # a lookahead session must record its scored candidates and the classes
   # its negative labels retested (engine.watch_wakes), or the per-label
   # instrumentation went silent.
-  for prefix in '"engine.' '"exec.' '"storage.' \
+  for prefix in '"engine.' '"storage.' \
       '"engine.simulate_label_both' '"engine.watch_wakes'; do
     if ! grep -qF "$prefix" "$smokedir/metrics.json"; then
       echo "ERROR: metrics snapshot is missing ${prefix}* metrics —" \
@@ -164,6 +168,18 @@ else
       exit 1
     fi
   done
+  # The engine build is serial, so the exec pool is checked where it still
+  # runs: ingesting a relation of at least rel::kParallelIngestMinRows
+  # (2048) rows.
+  awk 'BEGIN { print "A,B,C"; for (i = 0; i < 2048; ++i) \
+      print i % 7 "," i % 5 "," i % 3 }' > "$smokedir/ingest.csv"
+  ./build/jim_cli infer "$smokedir/ingest.csv" --auto --goal="A=B" \
+    --metrics-out="$smokedir/ingest_metrics.json" > /dev/null
+  if ! grep -qF '"exec.' "$smokedir/ingest_metrics.json"; then
+    echo "ERROR: metrics snapshot of a 2048-row ingest is missing exec.*" \
+      "metrics — instrumentation went silent" >&2
+    exit 1
+  fi
   grep -qF '"steps"' "$smokedir/observed.err"
   # A daemon session labels its engine in place: its one copy-on-write
   # detach must show up in the snapshot, or the work counter went silent.
@@ -245,9 +261,10 @@ else
     relational_dictionary_test core_tuple_store_test \
     query_factorized_parity_test core_encoded_parity_test query_query_test \
     core_engine_cow_test core_lookahead_parity_test core_speculation_test \
-    storage_jimc_format_test storage_mapped_parity_test storage_snapshot_test
+    storage_jimc_format_test storage_mapped_parity_test storage_snapshot_test \
+    storage_store_writer_parity_test core_class_build_parity_test
   run_ctest build-asan \
-    'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|LookaheadParity|Speculation|UniversalTable|EngineCow|Jimc|MappedParity|Snapshot|ParallelEncode'
+    'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|LookaheadParity|Speculation|UniversalTable|EngineCow|Jimc|MappedParity|Snapshot|ParallelEncode|StoreWriterParity|ClassBuildParity'
 fi
 
 # --- UBSAN stage (address+undefined, findings fatal) ---------------------
@@ -267,9 +284,10 @@ else
     core_tuple_store_test core_invariant_audit_test \
     relational_dictionary_test storage_jimc_format_test \
     storage_byte_reader_test storage_mapped_parity_test \
-    storage_snapshot_test fuzz_jimc_main
+    storage_snapshot_test storage_store_writer_parity_test \
+    core_class_build_parity_test fuzz_jimc_main
   run_ctest build-ubsan \
-    'Partition|Antichain|KernelParity|InferenceStateParity|BellNumber|Refinements|Covers|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|Snapshot|InvariantAudit|fuzz_jimc_smoke'
+    'Partition|Antichain|KernelParity|InferenceStateParity|BellNumber|Refinements|Covers|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|Snapshot|InvariantAudit|StoreWriterParity|ClassBuildParity|fuzz_jimc_smoke'
   # The deterministic fuzz driver, long run: 5000 mutated JIMC images, goal
   # strings and protocol request lines, every outcome a typed Status, under
   # ASAN+UBSAN with findings fatal. Reproduce any failure with the printed
@@ -337,7 +355,8 @@ else
     core_lookahead_kernel_parity_test \
     query_factorized_parity_test storage_mapped_parity_test \
     core_engine_cow_test core_label_verdict_parity_test \
-    core_inference_state_parity_test serve_session_manager_test
+    core_inference_state_parity_test core_class_build_parity_test \
+    serve_session_manager_test
   run_ctest build-audit \
     'Parity|InferenceStateParity|Speculation|InvariantAudit|EngineCow|SessionManager' \
     JIM_AUDIT_INVARIANTS=1

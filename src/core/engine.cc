@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
-#include <unordered_map>
 
-#include "exec/parallel.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "util/hash.h"
 #include "util/logging.h"
 
 namespace jim::core {
@@ -46,13 +42,12 @@ std::string_view TupleStatusToString(TupleStatus status) {
   return "?";
 }
 
-InferenceEngine::InferenceEngine(std::shared_ptr<const TupleStore> store,
-                                 exec::ThreadPool* pool)
+InferenceEngine::InferenceEngine(std::shared_ptr<const TupleStore> store)
     : store_(std::move(store)), state_(store_->num_attributes()) {
   JIM_CHECK(store_ != nullptr);
   {
     JIM_SPAN(obs::kHistEngineBuildMicros);
-    BuildClasses(pool);
+    BuildClasses();
     // Some tuples may be uninformative from the start (e.g. all-values-equal
     // tuples are selected by every predicate).
     Propagate(/*new_zone=*/nullptr);
@@ -62,123 +57,124 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const TupleStore> store,
   JIM_AUDIT(CheckInvariants());
 }
 
-InferenceEngine::InferenceEngine(std::shared_ptr<const TupleStore> store)
-    : InferenceEngine(std::move(store), &exec::SharedPool()) {}
-
 InferenceEngine::InferenceEngine(std::shared_ptr<const rel::Relation> relation)
     : InferenceEngine(MakeRelationStore(std::move(relation))) {}
 
 namespace {
 
-/// Canonical RGS labels of one tuple's code vector, written into `labels`:
-/// the integer-kernel equivalent of TuplePartition — attributes grouped by
-/// equal codes in first-occurrence order, every NULL (kNullCode) its own
-/// singleton. Quadratic in the (small) attribute count, linear-time in
-/// practice thanks to the early `assigned` skips; no sorting, no hashing of
-/// Values. Returns an FNV-1a hash of the labels for the grouping map.
-uint64_t CodesToRgs(const uint32_t* codes, size_t n, uint16_t* labels) {
-  constexpr uint16_t kUnset = 0xFFFF;
-  for (size_t i = 0; i < n; ++i) labels[i] = kUnset;
-  uint16_t next = 0;
+/// pairs(Part(t)) of one tuple's codes, written into `out` (`words` words):
+/// the bit of pair (i, j) is set iff codes i and j are equal and not NULL —
+/// kNullCode is never equal to anything, itself included, so every NULL is
+/// a singleton block.
+void CodesToPairs(const uint32_t* codes, size_t n, uint64_t* out) {
+  // Bits accumulate in a register and are stored a word at a time.
+  uint64_t word = 0;
+  size_t bit = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (labels[i] != kUnset) continue;
-    labels[i] = next;
     const uint32_t code = codes[i];
-    if (code != rel::kNullCode) {
-      for (size_t j = i + 1; j < n; ++j) {
-        if (labels[j] == kUnset && codes[j] == code) labels[j] = next;
+    const bool live = code != rel::kNullCode;
+    for (size_t j = i + 1; j < n; ++j) {
+      word |= uint64_t{live && codes[j] == code} << (bit % 64);
+      if (++bit % 64 == 0) {
+        *out++ = word;
+        word = 0;
       }
     }
-    ++next;
   }
-  return util::Fnv1a64(labels, labels + n,
-                       util::kFnv1a64OffsetBasis ^
-                           (uint64_t{n} * 0x9e3779b97f4a7c15ull));
+  if (bit % 64 != 0) *out = word;
 }
 
-/// View key into the flat per-tuple RGS buffer, with its precomputed hash.
-struct RgsKey {
-  const uint16_t* labels;
-  uint32_t n;
-  uint64_t hash;
-};
-struct RgsKeyHash {
-  size_t operator()(const RgsKey& key) const {
-    return static_cast<size_t>(key.hash);
+/// Hash of a pair set for the class table's open addressing.
+uint64_t HashPairs(const uint64_t* pairs, size_t words) {
+  uint64_t hash = 0;
+  for (size_t w = 0; w < words; ++w) {
+    hash = (hash ^ pairs[w]) * 0x9e3779b97f4a7c15ull;
+    hash ^= hash >> 29;
   }
-};
-struct RgsKeyEq {
-  bool operator()(const RgsKey& a, const RgsKey& b) const {
-    return a.hash == b.hash && a.n == b.n &&
-           (a.n == 0 ||
-            std::memcmp(a.labels, b.labels, a.n * sizeof(uint16_t)) == 0);
-  }
-};
+  return hash;
+}
 
 }  // namespace
 
-void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
+void InferenceEngine::BuildClasses() {
   const size_t num_tuples = store_->num_tuples();
   const size_t n = store_->num_attributes();
-  JIM_CHECK_LT(n, size_t{0xFFFF}) << "attribute count exceeds the RGS width";
+  const size_t words = lat::PairWords(n);
+  pair_words_ = words;
 
-  // Phase 1 (parallel, deterministic): per-tuple canonical RGS labels and
-  // hashes, written by tuple index into flat buffers — pure integer work
-  // over the store's codes, no allocation past the per-chunk code buffer.
-  std::vector<uint16_t> rgs(num_tuples * n);
-  std::vector<uint64_t> hashes(num_tuples);
-  const size_t chunks =
-      pool == nullptr ? 1 : std::max<size_t>(1, pool->threads());
-  std::vector<std::vector<uint32_t>> code_buffers(
-      chunks, std::vector<uint32_t>(n));
-  const auto extract = [&](size_t t, size_t chunk) {
-    uint32_t* codes = code_buffers[chunk].data();
-    store_->TupleCodes(t, codes);
-    hashes[t] = CodesToRgs(codes, n, rgs.data() + t * n);
+  // One serial pass: each tuple's pair set is looked up in a flat
+  // open-addressing table keyed by the pair-set words. A pair set determines
+  // its partition, so equal keys are exactly equal Part(t), and class ids
+  // are assigned in first-occurrence tuple order.
+  constexpr uint32_t kEmpty = 0xFFFFFFFFu;
+  auto class_pairs = std::make_shared<std::vector<uint64_t>>();
+  std::vector<uint32_t> slots(64, kEmpty);
+  size_t num_classes = 0;
+  auto class_of_tuple = std::make_shared<std::vector<size_t>>(num_tuples);
+  std::vector<uint32_t> codes(n);
+  std::vector<uint64_t> key(words);
+  const auto insert_slot = [&](const uint64_t* pairs) -> uint32_t& {
+    const size_t mask = slots.size() - 1;
+    size_t slot = HashPairs(pairs, words) & mask;
+    while (slots[slot] != kEmpty &&
+           !lat::PairEqual(class_pairs->data() + slots[slot] * words, pairs,
+                           words)) {
+      slot = (slot + 1) & mask;
+    }
+    return slots[slot];
   };
-  if (pool != nullptr && pool->threads() > 1 && num_tuples > 1) {
-    pool->ParallelFor(num_tuples, extract);
-  } else {
-    for (size_t t = 0; t < num_tuples; ++t) extract(t, 0);
+  for (size_t t = 0; t < num_tuples; ++t) {
+    store_->TupleCodes(t, codes.data());
+    CodesToPairs(codes.data(), n, key.data());
+    uint32_t& slot = insert_slot(key.data());
+    if (slot == kEmpty) {
+      slot = static_cast<uint32_t>(num_classes++);
+      class_pairs->insert(class_pairs->end(), key.begin(), key.end());
+      if (2 * num_classes > slots.size()) {
+        // Keep the load at most one half: rehash every key into twice the
+        // slots (classes are few, so this is rare and cheap).
+        slots.assign(2 * slots.size(), kEmpty);
+        for (size_t c = 0; c < num_classes; ++c) {
+          insert_slot(class_pairs->data() + c * words) =
+              static_cast<uint32_t>(c);
+        }
+      }
+      (*class_of_tuple)[t] = num_classes - 1;
+    } else {
+      (*class_of_tuple)[t] = slot;
+    }
   }
 
-  // Phase 2 (serial merge): group equal label vectors; class ids are
-  // assigned in first-occurrence tuple order, so the table is
-  // bitwise-identical at any thread count.
-  std::unordered_map<RgsKey, size_t, RgsKeyHash, RgsKeyEq> class_ids;
-  auto classes = std::make_shared<std::vector<TupleClass>>();
-  auto class_of_tuple = std::make_shared<std::vector<size_t>>();
-  class_of_tuple->resize(num_tuples);
-  std::vector<int> labels(n);
+  // Members by counting sort: each class's list is sized once and filled in
+  // ascending tuple order.
+  auto classes = std::make_shared<std::vector<TupleClass>>(num_classes);
+  std::vector<size_t> members(num_classes, 0);
+  for (const size_t c : *class_of_tuple) ++members[c];
+  for (size_t c = 0; c < num_classes; ++c) {
+    TupleClass& tuple_class = (*classes)[c];
+    tuple_class.partition =
+        lat::PartitionFromPairBits(n, class_pairs->data() + c * words);
+    tuple_class.tuple_indices.reserve(members[c]);
+  }
   for (size_t t = 0; t < num_tuples; ++t) {
-    const uint16_t* tuple_rgs = rgs.data() + t * n;
-    const RgsKey key{tuple_rgs, static_cast<uint32_t>(n), hashes[t]};
-    auto [it, inserted] = class_ids.emplace(key, classes->size());
-    if (inserted) {
-      for (size_t a = 0; a < n; ++a) labels[a] = tuple_rgs[a];
-      classes->push_back(
-          TupleClass{lat::Partition::FromLabels(labels), {}});
-    }
-    (*classes)[it->second].tuple_indices.push_back(t);
-    (*class_of_tuple)[t] = it->second;
+    (*classes)[(*class_of_tuple)[t]].tuple_indices.push_back(t);
   }
 
   session_ = std::make_shared<SessionArrays>();
-  session_->class_status.assign(classes->size(), ClassStatus::kInformative);
+  session_->class_status.assign(num_classes, ClassStatus::kInformative);
   // Initially θ_P = ⊤, so K_c = ⊤ ∧ Part(c) = Part(c); every class starts on
   // the worklist.
-  pair_words_ = lat::PairWords(n);
   knowledge_ = std::make_shared<KnowledgeTable>();
-  knowledge_->pairs.resize(classes->size() * pair_words_);
-  knowledge_->rank.resize(classes->size());
-  session_->informative.reserve(classes->size());
-  for (size_t c = 0; c < classes->size(); ++c) {
-    const lat::Partition& part = (*classes)[c].partition;
-    lat::FillPairBits(part, knowledge_->pairs.data() + c * pair_words_);
-    knowledge_->rank[c] = static_cast<uint32_t>(part.Rank());
-    session_->informative.push_back(c);
+  knowledge_->pairs = *class_pairs;
+  knowledge_->rank.resize(num_classes);
+  session_->informative.resize(num_classes);
+  for (size_t c = 0; c < num_classes; ++c) {
+    knowledge_->rank[c] = static_cast<uint32_t>(
+        lat::PairSetRank(n, class_pairs->data() + c * words));
+    session_->informative[c] = c;
   }
   classes_ = std::move(classes);
+  class_pairs_ = std::move(class_pairs);
   class_of_tuple_ = std::move(class_of_tuple);
 }
 
@@ -600,9 +596,15 @@ InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
 
 bool InferenceEngine::InstanceEquivalent(const JoinPredicate& p1,
                                          const JoinPredicate& p2) const {
-  for (const TupleClass& tuple_class : *classes_) {
-    if (p1.partition().Refines(tuple_class.partition) !=
-        p2.partition().Refines(tuple_class.partition)) {
+  const size_t words = pair_words_;
+  std::vector<uint64_t> pairs1(words);
+  std::vector<uint64_t> pairs2(words);
+  lat::FillPairBits(p1.partition(), pairs1.data());
+  lat::FillPairBits(p2.partition(), pairs2.data());
+  for (size_t c = 0; c < classes_->size(); ++c) {
+    const uint64_t* part = ClassPairBits(c);
+    if (lat::PairSubset(pairs1.data(), part, words) !=
+        lat::PairSubset(pairs2.data(), part, words)) {
       return false;
     }
   }
@@ -614,13 +616,14 @@ void InferenceEngine::CheckInvariants() const {
 
   // COW holders attached and sized for this instance.
   JIM_CHECK(store_ != nullptr && classes_ != nullptr &&
-            class_of_tuple_ != nullptr && session_ != nullptr &&
-            knowledge_ != nullptr);
+            class_pairs_ != nullptr && class_of_tuple_ != nullptr &&
+            session_ != nullptr && knowledge_ != nullptr);
   const size_t num_tuples = store_->num_tuples();
   const size_t num_classes = classes_->size();
   JIM_CHECK_EQ(class_of_tuple_->size(), num_tuples);
   JIM_CHECK_EQ(session_->class_status.size(), num_classes);
   JIM_CHECK_EQ(pair_words_, lat::PairWords(store_->num_attributes()));
+  JIM_CHECK_EQ(class_pairs_->size(), num_classes * pair_words_);
   JIM_CHECK_EQ(knowledge_->pairs.size(), num_classes * pair_words_);
   JIM_CHECK_EQ(knowledge_->rank.size(), num_classes);
 
@@ -656,6 +659,10 @@ void InferenceEngine::CheckInvariants() const {
     tuple_class.partition.CheckInvariants();
     JIM_CHECK_EQ(tuple_class.partition.num_elements(),
                  store_->num_attributes());
+    std::vector<uint64_t> pairs(pair_words_);
+    lat::FillPairBits(tuple_class.partition, pairs.data());
+    JIM_CHECK(lat::PairEqual(pairs.data(), ClassPairBits(c), pair_words_))
+        << "pair set of class " << c << " differs from its partition's";
     JIM_CHECK(!tuple_class.tuple_indices.empty()) << "empty class " << c;
     members_total += tuple_class.size();
     for (size_t t : tuple_class.tuple_indices) {

@@ -10,7 +10,6 @@
 #include "core/inference_state.h"
 #include "core/join_predicate.h"
 #include "core/tuple_store.h"
-#include "exec/thread_pool.h"
 #include "lattice/pair_set.h"
 #include "lattice/partition.h"
 #include "relational/relation.h"
@@ -86,31 +85,27 @@ inline bool IsPositive(ClassStatus status) {
 /// attributes). Partition values are built only for callers that want one.
 ///
 /// The engine consumes the instance through the TupleStore seam: class
-/// construction (Part(t) for every tuple) runs on integer codes — a
-/// sort-free per-tuple grouping, ParallelFor'd over the exec pool with
-/// deterministic first-occurrence class ids — and never touches a Value.
+/// construction (Part(t) for every tuple) runs on integer codes — one serial
+/// pass that turns each tuple's codes into its pair set and groups equal
+/// pair sets in a flat hash table, with first-occurrence class ids — and
+/// never touches a Value.
 ///
 /// The engine is strategy-agnostic: strategies (src/core/strategies.h) pick
 /// which informative class to ask about next; interaction modes 1-4 of the
 /// demonstration are built on top in src/core/session.h.
 class InferenceEngine {
  public:
-  /// Builds the engine over `store`. `pool` runs the per-tuple Part(t)
-  /// extraction (nullptr = serial); class ids are assigned in
-  /// first-occurrence tuple order by a serial merge, so the result is
-  /// bitwise-identical at any thread count.
-  InferenceEngine(std::shared_ptr<const TupleStore> store,
-                  exec::ThreadPool* pool);
-
-  /// Same, on the process-wide shared pool (exec::SharedPool).
+  /// Builds the engine over `store`: class ids in first-occurrence tuple
+  /// order, each class's members ascending.
   explicit InferenceEngine(std::shared_ptr<const TupleStore> store);
 
   /// Convenience: wraps `relation` into a RelationTupleStore (encoding every
   /// cell through one shared dictionary) and builds over that.
   explicit InferenceEngine(std::shared_ptr<const rel::Relation> relation);
 
-  /// Copies are cheap clones: the class table and tuple → class map are
-  /// shared outright (immutable), and both the per-class knowledge cache and
+  /// Copies are cheap clones: the class table, its pair sets and the tuple →
+  /// class map are shared outright (immutable), and both the per-class
+  /// knowledge cache and
   /// the session arrays (statuses, worklist) are copy-on-write
   /// — a clone defers those costs until its first label, and then pays
   /// O(classes), never O(tuples): the only per-tuple session state, the
@@ -140,6 +135,12 @@ class InferenceEngine {
   }
   size_t class_of_tuple(size_t tuple_index) const {
     return (*class_of_tuple_)[tuple_index];
+  }
+  /// pairs(Part(c)) (lattice/pair_set.h): lat::PairWords(n) words inside the
+  /// immutable class pair-set table, which clones share like the class
+  /// table.
+  const uint64_t* ClassPairBits(size_t class_id) const {
+    return class_pairs_->data() + class_id * pair_words_;
   }
 
   /// Status of an individual tuple (see TupleStatus). This is what the demo
@@ -298,8 +299,9 @@ class InferenceEngine {
 
   /// True iff p1 and p2 select exactly the same tuples of the instance —
   /// InstanceEquivalent(store(), p1, p2) decided over the class table
-  /// instead of the tuples: P selects class c iff P ≤ Part(c) (NULLs are
-  /// singletons in Part(c), matching JoinPredicate::SelectsCodes).
+  /// instead of the tuples: P selects class c iff P ≤ Part(c), i.e.
+  /// pairs(P) ⊆ pairs(Part(c)) (NULLs are singletons in Part(c), matching
+  /// JoinPredicate::SelectsCodes). ⌈P ÷ 64⌉ words per class.
   bool InstanceEquivalent(const JoinPredicate& p1,
                           const JoinPredicate& p2) const;
 
@@ -350,7 +352,7 @@ class InferenceEngine {
     std::vector<size_t> informative;
   };
 
-  void BuildClasses(exec::ThreadPool* pool);
+  void BuildClasses();
   /// Shared implementation of the two Submit entry points: CheckLabel, then
   /// apply. `tuple_index` is the tuple recorded in the history (the one
   /// actually shown to the user).
@@ -397,6 +399,8 @@ class InferenceEngine {
   /// The class table and the tuple → class map are immutable once
   /// BuildClasses returns, so every clone of an engine shares them outright.
   std::shared_ptr<const std::vector<TupleClass>> classes_;
+  /// pairs(Part(c)) per class, pair_words_ words each (see ClassPairBits).
+  std::shared_ptr<const std::vector<uint64_t>> class_pairs_;
   std::shared_ptr<const std::vector<size_t>> class_of_tuple_;
   /// Per-session flat arrays, copy-on-write across clones (see
   /// SessionArrays).

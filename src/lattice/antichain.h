@@ -50,12 +50,6 @@ class Antichain {
   /// Members ordered by rank, descending (ties in insertion order).
   const std::vector<Partition>& members() const { return members_; }
 
-  /// Rank of the coarsest member (the first, given the descending order);
-  /// 0 when empty. Upper-bounds the rank of any dominated partition.
-  size_t MaxMemberRank() const {
-    return members_.empty() ? 0 : members_.front().Rank();
-  }
-
   /// Invariant audit (see util/check.h): JIM_CHECK-fails unless members are
   /// each canonical, all of one arity, ordered by descending rank, and
   /// pairwise incomparable under refinement (the defining antichain

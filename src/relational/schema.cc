@@ -13,11 +13,27 @@ Schema Schema::FromNames(const std::vector<std::string>& names) {
   return Schema(std::move(attributes));
 }
 
+namespace {
+
+/// `name` == attribute.QualifiedName(), compared in place: the qualifier,
+/// then '.', then the bare name (no string is built).
+bool MatchesQualifiedName(const Attribute& attribute, std::string_view name) {
+  const std::string_view qualifier = attribute.qualifier;
+  if (qualifier.empty()) return name == attribute.name;
+  return name.size() == qualifier.size() + 1 + attribute.name.size() &&
+         name.substr(0, qualifier.size()) == qualifier &&
+         name[qualifier.size()] == '.' &&
+         name.substr(qualifier.size() + 1) == attribute.name;
+}
+
+}  // namespace
+
 util::StatusOr<size_t> Schema::IndexOf(std::string_view name) const {
   size_t found = attributes_.size();
   size_t matches = 0;
   for (size_t i = 0; i < attributes_.size(); ++i) {
-    if (attributes_[i].name == name || attributes_[i].QualifiedName() == name) {
+    if (attributes_[i].name == name ||
+        MatchesQualifiedName(attributes_[i], name)) {
       found = i;
       ++matches;
     }

@@ -78,6 +78,15 @@ SessionManager::FindSession(const std::string& session_id) {
   return it->second;
 }
 
+util::Status SessionManager::CheckSessionCap() {
+  if (sessions_.size() < options_.max_sessions) return util::OkStatus();
+  rejected_.fetch_add(1, std::memory_order_relaxed);
+  JIM_COUNT(obs::kCounterServeSessionsRejected);
+  return util::ResourceExhaustedError(util::StrFormat(
+      "session limit reached (%zu live, max %zu)", sessions_.size(),
+      options_.max_sessions));
+}
+
 void SessionManager::UpdateLiveGauge() const {
   JIM_GAUGE_SET(obs::kGaugeServeSessionsLive,
                 static_cast<int64_t>(sessions_.size()));
@@ -95,55 +104,63 @@ util::StatusOr<SessionManager::CreateResult> SessionManager::Create(
   }
   ASSIGN_OR_RETURN(std::unique_ptr<core::Strategy> strategy_impl,
                    core::MakeStrategy(strategy, seed));
+  const bool shares_picks = strategy_impl->stateless();
 
-  std::shared_ptr<Session> session;
+  // Under the manager lock only what needs it: the instance lookup (and its
+  // shared first-pick table). The session clone and the goal parse run
+  // outside, so concurrent lookups never wait on them. The cap is checked
+  // here too, so a create past the limit is refused before any work, and
+  // again with the id mint and insert, which stay one critical section.
+  std::shared_ptr<const core::InferenceEngine> prototype;
+  std::shared_ptr<FirstPicks> first_picks;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    RETURN_IF_ERROR(CheckSessionCap());
+    ASSIGN_OR_RETURN(Instance * inst,
+                     GetOrOpenInstance(instance_name, /*trusted=*/false));
+    prototype = inst->prototype;
+    if (shares_picks) {
+      std::shared_ptr<FirstPicks>& slot = inst->first_picks[strategy];
+      if (slot == nullptr) slot = std::make_shared<FirstPicks>();
+      first_picks = slot;
+    }
+  }
+  const size_t informative = prototype->InformativeClasses().size();
+  if (strategy == "optimal" &&
+      informative > core::OptimalStrategy::kMaxInformativeClasses) {
+    return util::FailedPreconditionError(util::StrFormat(
+        "strategy 'optimal' is an exact search limited to %zu "
+        "informative classes; instance '%s' has %zu",
+        core::OptimalStrategy::kMaxInformativeClasses, instance_name.c_str(),
+        informative));
+  }
+  auto session =
+      std::make_shared<Session>(*prototype, std::move(strategy_impl));
+  if (shares_picks) {
+    session->first_picks = std::move(first_picks);
+    session->first_pick_slot = 0;
+  }
+  if (!goal.empty()) {
+    ASSIGN_OR_RETURN(
+        core::JoinPredicate parsed_goal,
+        core::JoinPredicate::Parse(session->engine.store().schema(), goal));
+    session->goal = std::move(parsed_goal);
+  }
+  session->checkpoint.instance = instance_name;
+  session->checkpoint.strategy = strategy;
+  session->checkpoint.goal = goal;
+  session->checkpoint.seed = seed;
+  session->checkpoint.max_steps =
+      max_steps != 0 ? max_steps : options_.default_max_steps;
+
   std::string session_id;
   CreateResult result;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (sessions_.size() >= options_.max_sessions) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      JIM_COUNT(obs::kCounterServeSessionsRejected);
-      return util::ResourceExhaustedError(util::StrFormat(
-          "session limit reached (%zu live, max %zu)", sessions_.size(),
-          options_.max_sessions));
-    }
-    ASSIGN_OR_RETURN(Instance * inst,
-                     GetOrOpenInstance(instance_name, /*trusted=*/false));
-    const size_t informative = inst->prototype->InformativeClasses().size();
-    if (strategy == "optimal" &&
-        informative > core::OptimalStrategy::kMaxInformativeClasses) {
-      return util::FailedPreconditionError(util::StrFormat(
-          "strategy 'optimal' is an exact search limited to %zu "
-          "informative classes; instance '%s' has %zu",
-          core::OptimalStrategy::kMaxInformativeClasses,
-          instance_name.c_str(), informative));
-    }
-    const bool shares_picks = strategy_impl->stateless();
-    session = std::make_shared<Session>(*inst->prototype,
-                                        std::move(strategy_impl));
-    if (shares_picks) {
-      std::shared_ptr<FirstPicks>& first_picks = inst->first_picks[strategy];
-      if (first_picks == nullptr) first_picks = std::make_shared<FirstPicks>();
-      session->first_picks = first_picks;
-      session->first_pick_slot = 0;
-    }
-    if (!goal.empty()) {
-      ASSIGN_OR_RETURN(core::JoinPredicate parsed_goal,
-                       core::JoinPredicate::Parse(
-                           session->engine.store().schema(), goal));
-      session->goal = std::move(parsed_goal);
-    }
-    session_id = util::StrFormat("s%llu",
-                                 static_cast<unsigned long long>(
-                                     next_session_++));
+    RETURN_IF_ERROR(CheckSessionCap());
+    session_id = util::StrFormat(
+        "s%llu", static_cast<unsigned long long>(next_session_++));
     session->checkpoint.session_id = session_id;
-    session->checkpoint.instance = instance_name;
-    session->checkpoint.strategy = strategy;
-    session->checkpoint.goal = goal;
-    session->checkpoint.seed = seed;
-    session->checkpoint.max_steps =
-        max_steps != 0 ? max_steps : options_.default_max_steps;
     sessions_[session_id] = session;
     UpdateLiveGauge();
   }

@@ -211,6 +211,9 @@ class SessionManager {
   };
 
   util::Status EnsureCheckpointDir();
+  /// kResourceExhausted (counted as a rejection) when max_sessions are
+  /// live. Caller holds mutex_.
+  util::Status CheckSessionCap();
   /// Looks `name` up, opening (and caching) the JIMC file on miss.
   /// `trusted` selects the trusted-reopen validation level for that open.
   util::StatusOr<Instance*> GetOrOpenInstance(const std::string& name,

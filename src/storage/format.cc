@@ -1,6 +1,8 @@
 #include "storage/format.h"
 
+#include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "util/string_util.h"
 
@@ -8,12 +10,62 @@ namespace jim::storage {
 
 uint64_t Fnv1a64(const void* data, size_t size) {
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  uint64_t hash = 14695981039346656037ull;
+  uint64_t hash = kFnv1a64Basis;
   for (size_t i = 0; i < size; ++i) {
     hash ^= bytes[i];
-    hash *= 1099511628211ull;
+    hash *= kFnv1a64Prime;
   }
   return hash;
+}
+
+namespace {
+
+/// FoldCodeArrays over exactly kLanes arrays, states held in registers.
+template <size_t kLanes>
+void FoldLanes(const uint32_t* const* arrays, size_t begin, size_t end,
+               uint64_t* states, uint32_t* max_plus_one) {
+  uint64_t hash[kLanes];
+  uint32_t high[kLanes];
+  for (size_t l = 0; l < kLanes; ++l) {
+    hash[l] = states[l];
+    high[l] = max_plus_one[l];
+  }
+  for (size_t t = begin; t < end; ++t) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      const uint32_t word = arrays[l][t];
+      hash[l] = Fnv1a64Word(hash[l], word);
+      high[l] = std::max(high[l], word + 1);
+    }
+  }
+  for (size_t l = 0; l < kLanes; ++l) {
+    states[l] = hash[l];
+    max_plus_one[l] = high[l];
+  }
+}
+
+}  // namespace
+
+void FoldCodeArrays(const uint32_t* const* arrays, size_t count, size_t begin,
+                    size_t end, uint64_t* states, uint32_t* max_plus_one) {
+  constexpr size_t kLanes = 8;
+  size_t k = 0;
+  for (; k + kLanes <= count; k += kLanes) {
+    FoldLanes<kLanes>(arrays + k, begin, end, states + k, max_plus_one + k);
+  }
+  const auto fold = [&](auto lanes) {
+    FoldLanes<decltype(lanes)::value>(arrays + k, begin, end, states + k,
+                                      max_plus_one + k);
+  };
+  switch (count - k) {
+    case 1: fold(std::integral_constant<size_t, 1>{}); break;
+    case 2: fold(std::integral_constant<size_t, 2>{}); break;
+    case 3: fold(std::integral_constant<size_t, 3>{}); break;
+    case 4: fold(std::integral_constant<size_t, 4>{}); break;
+    case 5: fold(std::integral_constant<size_t, 5>{}); break;
+    case 6: fold(std::integral_constant<size_t, 6>{}); break;
+    case 7: fold(std::integral_constant<size_t, 7>{}); break;
+    default: break;
+  }
 }
 
 void AppendU8(std::string& out, uint8_t v) {

@@ -71,6 +71,32 @@ enum class ValueTag : uint8_t { kInt64 = 1, kDouble = 2, kString = 3 };
 /// file ever written. Do not merge them.
 uint64_t Fnv1a64(const void* data, size_t size);
 
+/// Fnv1a64's offset basis and prime.
+inline constexpr uint64_t kFnv1a64Basis = 14695981039346656037ull;
+inline constexpr uint64_t kFnv1a64Prime = 1099511628211ull;
+
+/// Advances an Fnv1a64 state over the four bytes of `word` as a JIMC file
+/// stores it (little-endian): folding a code array's words through this from
+/// kFnv1a64Basis yields exactly Fnv1a64 over its bytes.
+inline uint64_t Fnv1a64Word(uint64_t hash, uint32_t word) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    hash ^= (word >> shift) & 0xFFu;
+    hash *= kFnv1a64Prime;
+  }
+  return hash;
+}
+
+/// Folds words [begin, end) of `count` code arrays into their running
+/// Fnv1a64 states (`states[k]`, kFnv1a64Basis before the first word), and
+/// raises `max_plus_one[k]` to the largest word + 1 (mod 2^32) seen, so a
+/// kNullCode word counts as 0 and any other word w as w + 1. The arrays are
+/// independent chains: one tuple-major pass keeps up to eight states in
+/// registers so their multiplies overlap instead of paying each chain's
+/// latency in turn — how the writer's encode loop (block by block) and the
+/// reader's code range scan checksum the CODES sections at memory speed.
+void FoldCodeArrays(const uint32_t* const* arrays, size_t count, size_t begin,
+                    size_t end, uint64_t* states, uint32_t* max_plus_one);
+
 // The atomic-persist recipe (WriteFileAtomicallyWith) and the fsync/rename
 // primitives live behind the storage::Env seam (env.h) so fault-injection
 // tests can interpose on every one of them.

@@ -20,15 +20,47 @@ util::Status Corrupt(const std::string& path, const std::string& detail) {
       util::StrFormat("JIMC %s: %s", path.c_str(), detail.c_str()));
 }
 
-struct SectionEntry {
-  uint32_t id = 0;
-  uint32_t column = 0;
-  uint64_t offset = 0;
-  uint64_t length = 0;
-  uint64_t checksum = 0;
-};
-
 }  // namespace
+
+void MappedTupleStore::ScanCodeArrays(std::vector<SectionEntry>& sections,
+                                      uint64_t dict_size) const {
+  // Only in-bounds, aligned code arrays of exactly num_tuples codes can be
+  // walked tuple by tuple; any other section keeps the byte-serial checksum
+  // and fails its bounds, alignment or length check in Parse anyway.
+  std::vector<SectionEntry*> scanned;
+  for (SectionEntry& section : sections) {
+    if (section.id == static_cast<uint32_t>(SectionId::kCodes) &&
+        section.offset <= size_ && section.length <= size_ - section.offset &&
+        section.offset % alignof(uint32_t) == 0 &&
+        section.length == num_tuples_ * sizeof(uint32_t)) {
+      scanned.push_back(&section);
+    }
+  }
+  const size_t columns = scanned.size();
+  std::vector<const uint32_t*> arrays(columns);
+  for (size_t k = 0; k < columns; ++k) {
+    arrays[k] = reinterpret_cast<const uint32_t*>(data_ + scanned[k]->offset);
+  }
+  std::vector<uint64_t> states(columns, kFnv1a64Basis);
+  std::vector<uint32_t> max_plus_one(columns, 0);
+  FoldCodeArrays(arrays.data(), columns, 0, num_tuples_, states.data(),
+                 max_plus_one.data());
+  for (size_t k = 0; k < columns; ++k) {
+    scanned[k]->scanned = true;
+    scanned[k]->scanned_checksum = states[k];
+    // NULL folds as 0 and a code c as c + 1, so the array holds a code
+    // outside the shared dictionary iff the largest fold exceeds its size;
+    // only then is it searched for the first such tuple.
+    if (max_plus_one[k] <= dict_size) continue;
+    for (size_t t = 0; t < num_tuples_; ++t) {
+      const uint32_t code = arrays[k][t];
+      if (code >= dict_size && code != rel::kNullCode) {
+        scanned[k]->first_bad_tuple = t;
+        break;
+      }
+    }
+  }
+}
 
 util::StatusOr<std::shared_ptr<const MappedTupleStore>> MappedTupleStore::Open(
     const std::string& path, Env* env) {
@@ -135,6 +167,11 @@ util::Status MappedTupleStore::Parse(bool trusted) {
     ASSIGN_OR_RETURN(section.offset, table.ReadU64());
     ASSIGN_OR_RETURN(section.length, table.ReadU64());
     ASSIGN_OR_RETURN(section.checksum, table.ReadU64());
+  }
+  // Trusted reopen skips the checksum pass — the O(file) sequential read —
+  // and the code range scan, but never the bounds checks below.
+  if (!trusted) ScanCodeArrays(sections, dict_size);
+  for (const SectionEntry& section : sections) {
     if (section.offset > size_ || section.length > size_ - section.offset) {
       return Corrupt(path_, util::StrFormat(
           "section id=%u column=%u [%llu, +%llu) falls outside the %zu-byte "
@@ -142,11 +179,11 @@ util::Status MappedTupleStore::Parse(bool trusted) {
           static_cast<unsigned long long>(section.offset),
           static_cast<unsigned long long>(section.length), size_));
     }
-    // Trusted reopen skips the checksum pass — the O(file) sequential read —
-    // but never the bounds checks above.
     if (trusted) continue;
     const uint64_t actual =
-        Fnv1a64(data_ + section.offset, static_cast<size_t>(section.length));
+        section.scanned ? section.scanned_checksum
+                        : Fnv1a64(data_ + section.offset,
+                                  static_cast<size_t>(section.length));
     if (actual != section.checksum) {
       return Corrupt(path_, util::StrFormat(
           "checksum mismatch in section id=%u column=%u (stored "
@@ -312,17 +349,16 @@ util::Status MappedTupleStore::Parse(bool trusted) {
     }
     const uint32_t* codes =
         reinterpret_cast<const uint32_t*>(data_ + section.offset);
-    // The O(N·n) range scan is the other cost trusted reopen trades away; a
-    // code it would have caught trips DecodeValue's JIM_CHECK instead.
-    if (!trusted) {
-      for (size_t t = 0; t < num_tuples_; ++t) {
-        if (codes[t] >= dict_size && codes[t] != rel::kNullCode) {
-          return Corrupt(path_, util::StrFormat(
-              "code array %u tuple %zu holds code %u outside the shared "
-              "dictionary of %llu entries", a, t, codes[t],
-              static_cast<unsigned long long>(dict_size)));
-        }
-      }
+    // An aligned array of the expected length was range-scanned with the
+    // checksums (ScanCodeArrays). That O(N·n) scan is the other cost trusted
+    // reopen trades away; a code it would have caught trips DecodeValue's
+    // JIM_CHECK instead.
+    if (section.first_bad_tuple < num_tuples_) {
+      const size_t t = section.first_bad_tuple;
+      return Corrupt(path_, util::StrFormat(
+          "code array %u tuple %zu holds code %u outside the shared "
+          "dictionary of %llu entries", a, t, codes[t],
+          static_cast<unsigned long long>(dict_size)));
     }
     column_codes_[a] = codes;
   }

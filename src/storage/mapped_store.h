@@ -105,7 +105,28 @@ class MappedTupleStore final : public core::TupleStore {
  private:
   MappedTupleStore() = default;
 
+  /// One section-table entry, plus what ScanCodeArrays learned of it.
+  struct SectionEntry {
+    uint32_t id = 0;
+    uint32_t column = 0;
+    uint64_t offset = 0;
+    uint64_t length = 0;
+    uint64_t checksum = 0;
+    /// Set for a CODES section ScanCodeArrays walked: its Fnv1a64, and the
+    /// first tuple whose code lies outside the shared dictionary
+    /// (kNoBadTuple if none).
+    bool scanned = false;
+    uint64_t scanned_checksum = 0;
+    size_t first_bad_tuple = kNoBadTuple;
+  };
+  static constexpr size_t kNoBadTuple = static_cast<size_t>(-1);
+
   util::Status Parse(bool trusted);
+  /// The full-validation pass over the code arrays: checksums every
+  /// in-bounds, aligned CODES section of the expected length and finds its
+  /// first out-of-range code, reading each code once.
+  void ScanCodeArrays(std::vector<SectionEntry>& sections,
+                      uint64_t dict_size) const;
 
   std::string path_;
   /// Owns the bytes: an mmap region or its heap-copy fallback. `data_` /

@@ -1,6 +1,6 @@
 #include "storage/store_writer.h"
 
-#include <unordered_map>
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -72,8 +72,14 @@ util::Status WriteStore(const core::TupleStore& store, const std::string& path,
   // One row-major scan assigns the file's shared codes (dense renumbering of
   // the source codes, first occurrence wins) and fills the columnar code
   // matrix; the first occurrence of each source code decodes its Value into
-  // the owning column's dictionary page.
-  std::unordered_map<uint32_t, uint32_t> shared_of_source;
+  // the owning column's dictionary page. Source codes are dense (the
+  // TupleStore contract), so the remap is a flat table indexed by source
+  // code, grown geometrically as larger codes appear. Each block of rows is
+  // folded into the CODES checksums while it is still in cache.
+  constexpr uint32_t kUnassigned = rel::kNullCode;
+  constexpr size_t kFoldRows = 4096;
+  std::vector<uint32_t> shared_of_source;
+  uint32_t shared_dict_size = 0;
   struct DictionaryPage {
     /// Entry count (local codes are dense 0..n-1 in append order).
     uint32_t num_entries = 0;
@@ -81,29 +87,43 @@ util::Status WriteStore(const core::TupleStore& store, const std::string& path,
     std::string entries;
   };
   std::vector<DictionaryPage> dictionary_pages(columns);
-  std::vector<std::vector<uint32_t>> code_arrays(columns);
-  for (auto& codes : code_arrays) codes.reserve(rows);
+  std::vector<std::vector<uint32_t>> code_arrays(
+      columns, std::vector<uint32_t>(rows));
+  std::vector<const uint32_t*> code_columns(columns);
+  for (size_t a = 0; a < columns; ++a) code_columns[a] = code_arrays[a].data();
+  std::vector<uint64_t> code_checksums(columns, kFnv1a64Basis);
+  std::vector<uint32_t> max_plus_one(columns, 0);  // unused: codes are ours
   std::vector<uint32_t> row(columns);
-  for (size_t t = 0; t < rows; ++t) {
-    store.TupleCodes(t, row.data());
-    for (size_t a = 0; a < columns; ++a) {
-      const uint32_t source = row[a];
-      if (source == rel::kNullCode) {
-        code_arrays[a].push_back(rel::kNullCode);
-        continue;
+  for (size_t begin = 0; begin < rows; begin += kFoldRows) {
+    const size_t end = std::min(rows, begin + kFoldRows);
+    for (size_t t = begin; t < end; ++t) {
+      store.TupleCodes(t, row.data());
+      for (size_t a = 0; a < columns; ++a) {
+        const uint32_t source = row[a];
+        uint32_t shared = rel::kNullCode;
+        if (source != rel::kNullCode) {
+          if (source >= shared_of_source.size()) {
+            shared_of_source.resize(
+                std::max<size_t>(size_t{source} + 1,
+                                 2 * shared_of_source.size()),
+                kUnassigned);
+          }
+          shared = shared_of_source[source];
+          if (shared == kUnassigned) {
+            shared = shared_dict_size++;
+            shared_of_source[source] = shared;
+            DictionaryPage& page = dictionary_pages[a];
+            AppendU32(page.entries, shared);
+            AppendValueRecord(page.entries, store.DecodeValue(t, a));
+            ++page.num_entries;
+          }
+        }
+        code_arrays[a][t] = shared;
       }
-      const auto [it, inserted] = shared_of_source.emplace(
-          source, static_cast<uint32_t>(shared_of_source.size()));
-      if (inserted) {
-        DictionaryPage& page = dictionary_pages[a];
-        AppendU32(page.entries, it->second);
-        AppendValueRecord(page.entries, store.DecodeValue(t, a));
-        ++page.num_entries;
-      }
-      code_arrays[a].push_back(it->second);
     }
+    FoldCodeArrays(code_columns.data(), columns, begin, end,
+                   code_checksums.data(), max_plus_one.data());
   }
-  const size_t shared_dict_size = shared_of_source.size();
 
   // Assemble the section list in a fixed order: name, schema, then per
   // column its dictionary page and code array (column locality on disk).
@@ -170,7 +190,10 @@ util::Status WriteStore(const core::TupleStore& store, const std::string& path,
     AppendU32(table, sections[i].column);
     AppendU64(table, offsets[i]);
     AppendU64(table, sections[i].length());
-    AppendU64(table, Fnv1a64(sections[i].data(), sections[i].length()));
+    // CODES checksums were folded during the encode loop.
+    AppendU64(table, sections[i].id == SectionId::kCodes
+                         ? code_checksums[sections[i].column]
+                         : Fnv1a64(sections[i].data(), sections[i].length()));
   }
 
   Env& env = options.env != nullptr ? *options.env : *DefaultEnv();

@@ -33,9 +33,10 @@ struct StoreWriterOptions {
 /// NULL sentinels and the one-fresh-code-per-occurrence NaN discipline.
 /// Values are decoded from the source store once per distinct code.
 ///
-/// Writer memory is O(distinct codes + num_tuples × num_attributes × 4 B)
-/// (the code matrix is staged columnar before writing); the *reader* side is
-/// the memory-scalable one.
+/// Writer memory is O(source code space + num_tuples × num_attributes × 4 B)
+/// (the remap is a flat table over the store's dense codes, and the code
+/// matrix is staged columnar before writing); the *reader* side is the
+/// memory-scalable one.
 util::Status WriteStore(const core::TupleStore& store, const std::string& path,
                         const StoreWriterOptions& options = {});
 

@@ -1,7 +1,8 @@
 // Parity of the encoded (code-kernel) pipeline against the legacy
 // Value-row path:
 //   - Part(t) and the class table from integer codes equal the reference
-//     TuplePartition grouping over decoded Value rows, at any thread count;
+//     TuplePartition grouping over decoded Value rows and the code-level RGS
+//     grouping (naive_class_table.h);
 //   - full session transcripts over a factorized universal table are
 //     byte-identical to sessions over the materialized Value-row instance,
 //     across interaction modes 1–4 and every strategy.
@@ -14,7 +15,7 @@
 #include <vector>
 
 #include "core/jim.h"
-#include "exec/thread_pool.h"
+#include "naive_class_table.h"
 #include "query/universal_table.h"
 #include "relational/catalog.h"
 #include "util/rng.h"
@@ -70,7 +71,7 @@ void ExpectClassesMatchReference(const InferenceEngine& engine,
   }
 }
 
-TEST(EncodedParityTest, ClassesMatchValueRowReferenceAtAnyThreadCount) {
+TEST(EncodedParityTest, ClassesMatchValueRowAndRgsReferences) {
   for (uint64_t seed : {3u, 19u, 271u}) {
     util::Rng rng(seed);
     workload::SyntheticSpec spec;
@@ -80,26 +81,13 @@ TEST(EncodedParityTest, ClassesMatchValueRowReferenceAtAnyThreadCount) {
     spec.goal_constraints = 2;
     const auto workload = workload::MakeSyntheticWorkload(spec, rng);
 
-    const InferenceEngine serial(workload.store, /*pool=*/nullptr);
-    ExpectClassesMatchReference(serial, *workload.instance,
-                                util::StrFormat("seed=%zu serial",
-                                                size_t{seed}));
-    for (size_t threads : {2u, 8u}) {
-      exec::ThreadPool pool(threads);
-      const InferenceEngine parallel(workload.store, &pool);
-      ExpectClassesMatchReference(
-          parallel, *workload.instance,
-          util::StrFormat("seed=%zu threads=%zu", size_t{seed},
-                          size_t{threads}));
-      // Bitwise-identical knowledge too, not just equal partitions.
-      ASSERT_EQ(parallel.num_classes(), serial.num_classes());
-      for (size_t c = 0; c < serial.num_classes(); ++c) {
-        EXPECT_EQ(parallel.ClassKnowledge(c), serial.ClassKnowledge(c));
-        EXPECT_EQ(parallel.tuple_class(c).tuple_indices,
-                  serial.tuple_class(c).tuple_indices);
-      }
-      EXPECT_EQ(parallel.InformativeClasses(), serial.InformativeClasses());
-    }
+    const InferenceEngine engine(workload.store);
+    const std::string context =
+        util::StrFormat("seed=%zu", size_t{seed});
+    ExpectClassesMatchReference(engine, *workload.instance, context);
+    // Bitwise-identical to the code-level RGS grouping too: members, pair
+    // sets and the initial knowledge, not just equal partitions.
+    ExpectClassTableMatchesNaive(engine, context);
   }
 }
 
@@ -114,7 +102,7 @@ TEST(EncodedParityTest, NullsAndTypeCollisionsPartitionLikeValues) {
   relation.AddRowUnchecked(
       {Value::Null(), Value("x"), Value("x"), Value::Null()});
   auto shared = std::make_shared<const rel::Relation>(std::move(relation));
-  const InferenceEngine engine(MakeRelationStore(shared), nullptr);
+  const InferenceEngine engine(MakeRelationStore(shared));
   ExpectClassesMatchReference(engine, *shared, "nulls-and-types");
 }
 

@@ -17,6 +17,21 @@ Schema TestSchema() {
   return schema;
 }
 
+TEST(SchemaTest, IndexOfMatchesOnlyTheExactQualifiedForm) {
+  Schema schema;
+  schema.AddAttribute({"City", ValueType::kString, "Hotels"});
+  schema.AddAttribute({"b.c", ValueType::kString, "a"});
+  EXPECT_EQ(schema.IndexOf("Hotels.City").value(), 0u);
+  EXPECT_EQ(schema.IndexOf("a.b.c").value(), 1u);
+  EXPECT_EQ(schema.IndexOf("b.c").value(), 1u);
+  for (const char* miss : {"HotelsXCity", "Hotels.", ".City", "Hotels.Cit",
+                           "Hotel.City", "Hotels.City2", "a.b", "ab.c"}) {
+    EXPECT_EQ(schema.IndexOf(miss).status().code(),
+              util::StatusCode::kNotFound)
+        << miss;
+  }
+}
+
 TEST(SchemaTest, IndexOfBareAndQualified) {
   Schema schema;
   schema.AddAttribute({"City", ValueType::kString, "Hotels"});

@@ -307,6 +307,45 @@ TEST(JimcCorruptionTest, ChecksumMismatch) {
                    "checksum mismatch");
 }
 
+TEST(JimcCorruptionTest, ChecksumMismatchNamesTheCorruptSection) {
+  // Every section, metadata and code arrays alike: the CODES checksums come
+  // from the reader's fused code pass, the others byte by byte, and each
+  // mismatch names its own section.
+  const std::string path = TestPath("checksum_each");
+  ASSERT_TRUE(
+      WriteStore(*core::MakeRelationStore(MixedRelation()), path).ok());
+  const FileImage pristine(path);
+  const size_t sections = pristine.ReadU32(20);
+  for (size_t i = 0; i < sections; ++i) {
+    const size_t entry = pristine.EntryOffset(i);
+    const uint32_t id = pristine.ReadU32(entry);
+    const uint32_t column = pristine.ReadU32(entry + 4);
+    const std::string named = "checksum mismatch in section id=" +
+                              std::to_string(id) + " column=" +
+                              std::to_string(column) + " ";
+    ExpectCorruption(
+        "checksum_" + std::to_string(i),
+        [i](FileImage& f) {
+          const size_t payload = f.SectionPayloadOffset(static_cast<int>(i));
+          f.WriteByte(payload, static_cast<uint8_t>(
+                                   f.ReadU32(payload) ^ 0x5Au));
+        },
+        named);
+  }
+}
+
+TEST(JimcCorruptionTest, CodeOutOfRangeNamesTheCell) {
+  ExpectCorruption("code_cell",
+                   [](FileImage& f) {
+                     const int i = f.FindSection(SectionId::kCodes, 2);
+                     ASSERT_GE(i, 0);
+                     f.WriteU32(f.SectionPayloadOffset(i) + 3 * 4, 0x7FFFFFF0);
+                     f.WriteU32(f.SectionPayloadOffset(i) + 1 * 4, 0x7FFFFFF1);
+                     f.FixChecksum(i);
+                   },
+                   "code array 2 tuple 1 holds code 2147483633");
+}
+
 TEST(JimcCorruptionTest, DuplicateSection) {
   // Retagging the name section as a second schema section trips the
   // duplicate check (section-table bytes are not under any checksum).

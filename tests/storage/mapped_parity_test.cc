@@ -1,6 +1,6 @@
 // Randomized round-trip parity: an engine over a MappedTupleStore must be
 // indistinguishable from the in-memory store it was written from — identical
-// class tables (built at 1, 2, and 8 threads), byte-identical session
+// class tables (equal to the RGS reference grouping), byte-identical session
 // transcripts across interaction modes and strategies, identical lookahead
 // picks. This is the acceptance gate of the storage subsystem: persistence
 // may never change an inference outcome, only where the bytes live.
@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "core/jim.h"
+#include "../core/naive_class_table.h"
+#include "../core/naive_lookahead.h"
 #include "exec/batch_runner.h"
 #include "exec/thread_pool.h"
 #include "query/universal_table.h"
@@ -97,7 +99,7 @@ std::string TranscriptJson(SessionResult result) {
   return SessionResultToJson(result);
 }
 
-TEST(MappedParityTest, ClassTablesIdenticalAtAnyThreadCount) {
+TEST(MappedParityTest, ClassTablesMatchRgsReference) {
   for (const uint64_t seed : {11u, 47u}) {
     util::Rng rng(seed);
     workload::SyntheticSpec spec;
@@ -109,15 +111,11 @@ TEST(MappedParityTest, ClassTablesIdenticalAtAnyThreadCount) {
     const StorePair pair =
         MakePair(workload.store, "classes_" + std::to_string(seed));
 
-    const InferenceEngine reference(pair.original, /*pool=*/nullptr);
-    for (const size_t threads : {1u, 2u, 8u}) {
-      exec::ThreadPool pool(threads);
-      exec::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
-      const InferenceEngine mapped(pair.mapped, pool_ptr);
-      ExpectSameClasses(reference, mapped,
-                        util::StrFormat("seed=%zu threads=%zu", size_t{seed},
-                                        threads));
-    }
+    const std::string context = util::StrFormat("seed=%zu", size_t{seed});
+    const InferenceEngine reference(pair.original);
+    const InferenceEngine mapped(pair.mapped);
+    ExpectSameClasses(reference, mapped, context);
+    core::ExpectClassTableMatchesNaive(mapped, context + " mapped");
   }
 }
 
@@ -142,8 +140,8 @@ TEST(MappedParityTest, UniversalTableSurvivesTheRoundTrip) {
     const auto goal =
         JoinPredicate::Parse(table.schema(), "Flights.To = Hotels.City")
             .value();
-    const InferenceEngine reference(pair.original, nullptr);
-    const InferenceEngine mapped(pair.mapped, nullptr);
+    const InferenceEngine reference(pair.original);
+    const InferenceEngine mapped(pair.mapped);
     ExpectSameClasses(reference, mapped, "universal mapped");
 
     for (const auto* store : {&pair.original, &pair.mapped}) {
@@ -188,7 +186,7 @@ TEST(MappedParityTest, TranscriptsIdenticalAcrossModesStrategiesThreads) {
   }
 }
 
-TEST(MappedParityTest, LookaheadPicksIdenticalAtAnyThreadCount) {
+TEST(MappedParityTest, LookaheadPicksMatchNaiveReference) {
   util::Rng rng(88);
   workload::SyntheticSpec spec;
   spec.num_attributes = 6;
@@ -198,19 +196,13 @@ TEST(MappedParityTest, LookaheadPicksIdenticalAtAnyThreadCount) {
   const auto workload = workload::MakeSyntheticWorkload(spec, rng);
   const StorePair pair = MakePair(workload.store, "lookahead");
 
-  const InferenceEngine reference(pair.original, nullptr);
+  const InferenceEngine reference(pair.original);
+  const InferenceEngine mapped(pair.mapped);
   core::LookaheadStrategy strategy(
       core::LookaheadStrategy::Objective::kEntropy);
-  const size_t expected_pick = strategy.PickClass(reference);
-
-  // The thread count builds the mapped engine's class table; scoring is
-  // serial.
-  for (const size_t threads : {1u, 2u, 8u}) {
-    exec::ThreadPool pool(threads);
-    const InferenceEngine engine(pair.mapped, threads > 1 ? &pool : nullptr);
-    EXPECT_EQ(strategy.PickClass(engine), expected_pick)
-        << "threads=" << threads;
-  }
+  const size_t expected_pick = core::NaiveLookaheadPick(reference, strategy);
+  EXPECT_EQ(strategy.PickClass(reference), expected_pick);
+  EXPECT_EQ(strategy.PickClass(mapped), expected_pick);
 }
 
 TEST(MappedParityTest, BatchSessionsRunOverOneSharedMapping) {
@@ -245,14 +237,14 @@ TEST(MappedParityTest, BatchSessionsRunOverOneSharedMapping) {
       };
 
   const auto reference_prototype =
-      std::make_shared<const InferenceEngine>(pair.original, nullptr);
+      std::make_shared<const InferenceEngine>(pair.original);
   const exec::BatchSessionRunner serial_runner(nullptr);
   const auto reference_results =
       serial_runner.Run(make_specs(reference_prototype));
 
   exec::ThreadPool pool(4);
   const auto mapped_prototype =
-      std::make_shared<const InferenceEngine>(pair.mapped, nullptr);
+      std::make_shared<const InferenceEngine>(pair.mapped);
   const exec::BatchSessionRunner parallel_runner(&pool);
   const auto mapped_results = parallel_runner.Run(make_specs(mapped_prototype));
 
