@@ -31,15 +31,14 @@
 #                        finding fatal (-fno-sanitize-recover)
 #   - CRASH stage        fault-injection + crash-recovery suites under
 #                        address sanitizer: every syscall index during
-#                        WriteStore/SaveCatalog crashed and replayed,
-#                        old-XOR-new proven on each reopened image
+#                        WriteStore crashed and replayed, old-XOR-new
+#                        proven on each reopened image
 #   - SERVE stage        the serving daemon under address sanitizer:
 #                        protocol/session-manager suites, the checkpoint
 #                        crash-point enumeration, the 64-session TCP e2e
 #                        with kill+restart transcript diffing, plus the
-#                        trusted-reopen and JSON-reader suites, and a
-#                        jim_cli serve --stdio smoke against the round-trip
-#                        instance
+#                        JSON-reader suite, and a jim_cli serve --stdio
+#                        smoke against the round-trip instance
 #   - audit stage        -DJIM_AUDIT_INVARIANTS=ON build running the parity
 #                        suites (the pair-set inference state against its
 #                        naive partition reference included) with every
@@ -261,10 +260,10 @@ else
     relational_dictionary_test core_tuple_store_test \
     query_factorized_parity_test core_encoded_parity_test query_query_test \
     core_engine_cow_test core_lookahead_parity_test core_speculation_test \
-    storage_jimc_format_test storage_mapped_parity_test storage_snapshot_test \
+    storage_jimc_format_test storage_mapped_parity_test \
     storage_store_writer_parity_test core_class_build_parity_test
   run_ctest build-asan \
-    'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|LookaheadParity|Speculation|UniversalTable|EngineCow|Jimc|MappedParity|Snapshot|ParallelEncode|StoreWriterParity|ClassBuildParity'
+    'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|LookaheadParity|Speculation|UniversalTable|EngineCow|Jimc|MappedParity|ParallelEncode|StoreWriterParity|ClassBuildParity'
 fi
 
 # --- UBSAN stage (address+undefined, findings fatal) ---------------------
@@ -284,10 +283,10 @@ else
     core_tuple_store_test core_invariant_audit_test \
     relational_dictionary_test storage_jimc_format_test \
     storage_byte_reader_test storage_mapped_parity_test \
-    storage_snapshot_test storage_store_writer_parity_test \
-    core_class_build_parity_test fuzz_jimc_main
+    storage_store_writer_parity_test core_class_build_parity_test \
+    fuzz_jimc_main
   run_ctest build-ubsan \
-    'Partition|Antichain|KernelParity|InferenceStateParity|BellNumber|Refinements|Covers|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|Snapshot|InvariantAudit|StoreWriterParity|ClassBuildParity|fuzz_jimc_smoke'
+    'Partition|Antichain|KernelParity|InferenceStateParity|BellNumber|Refinements|Covers|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|InvariantAudit|StoreWriterParity|ClassBuildParity|fuzz_jimc_smoke'
   # The deterministic fuzz driver, long run: 5000 mutated JIMC images, goal
   # strings and protocol request lines, every outcome a typed Status, under
   # ASAN+UBSAN with findings fatal. Reproduce any failure with the printed
@@ -297,8 +296,8 @@ fi
 
 # --- CRASH stage (fault injection + crash recovery under ASAN) -----------
 # Reuses the ASAN tree: the crash-point enumeration (every syscall index
-# during WriteStore and SaveCatalog) and the torn-write replays are exactly
-# where a latent out-of-bounds read in recovery code would hide.
+# during WriteStore) and the torn-write replays are exactly where a latent
+# out-of-bounds read in recovery code would hide.
 if [[ "${JIM_SKIP_CRASH:-0}" == "1" ]]; then
   warn_skip "JIM_SKIP_CRASH=1" "CRASH"
 elif ! sanitizer_available address; then
@@ -329,8 +328,8 @@ else
   cmake --build build-asan -j --target \
     serve_protocol_test serve_session_manager_test \
     serve_checkpoint_crash_test serve_server_e2e_test \
-    util_json_reader_test storage_trusted_reopen_test
-  run_ctest build-asan 'Protocol|SessionManager|Serve|JsonReader|TrustedReopen'
+    util_json_reader_test
+  run_ctest build-asan 'Protocol|SessionManager|Serve|JsonReader'
   # stdio smoke against the tier-1 build: one piped daemon run must answer
   # ping/stats and exit cleanly on the shutdown verb.
   printf '%s\n' '{"verb":"ping"}' '{"verb":"stats"}' '{"verb":"shutdown"}' | \

@@ -14,7 +14,7 @@
 //       List the available question-selection strategies.
 //   serve [--load-instance=FILE.jimc] [--port=N | --stdio]
 //         [--checkpoint-dir=DIR] [--max-sessions=N] [--max-steps=N]
-//         [--trusted-reopen] [--max-connections=N]
+//         [--max-connections=N]
 //       Run the inference daemon (newline-delimited JSON verbs: create,
 //       suggest, label, status, result, close, stats, ping, shutdown).
 //       --port listens on localhost TCP (0 = ephemeral; the bound address
@@ -66,7 +66,6 @@
 #include "storage/env.h"
 #include "storage/mapped_store.h"
 #include "storage/metrics_env.h"
-#include "storage/snapshot.h"
 #include "storage/store_writer.h"
 #include "ui/console_ui.h"
 #include "ui/demo_runner.h"
@@ -251,7 +250,7 @@ int CmdInfer(const Flags& flags) {
                                                 flags.Get("goal"));
     if (!goal.ok()) return Fail(goal.status().ToString());
     const auto instance = std::make_shared<const rel::Relation>(
-        storage::MaterializeStore(**store));
+        core::MaterializeStore(**store));
     const auto result = core::RunSelectionSession(instance, *goal);
     std::cout << "questions: " << result.interactions << "\n"
               << "inferred:  "
@@ -316,7 +315,6 @@ int CmdServe(const Flags& flags) {
   serve::ServeOptions serve_options;
   serve_options.env = CliEnv();
   serve_options.checkpoint_dir = flags.Get("checkpoint-dir");
-  serve_options.trusted_reopen = flags.Has("trusted-reopen");
   if (flags.Has("max-sessions")) {
     auto parsed = util::ParseInt64(flags.Get("max-sessions"));
     if (!parsed.ok() || *parsed < 1) return Fail("--max-sessions: bad value");

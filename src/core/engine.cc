@@ -26,22 +26,6 @@ std::string_view ClassStatusToString(ClassStatus status) {
   return "?";
 }
 
-std::string_view TupleStatusToString(TupleStatus status) {
-  switch (status) {
-    case TupleStatus::kInformative:
-      return "informative";
-    case TupleStatus::kForcedPositive:
-      return "forced-positive";
-    case TupleStatus::kForcedNegative:
-      return "forced-negative";
-    case TupleStatus::kLabeledPositive:
-      return "labeled-positive";
-    case TupleStatus::kLabeledNegative:
-      return "labeled-negative";
-  }
-  return "?";
-}
-
 InferenceEngine::InferenceEngine(std::shared_ptr<const TupleStore> store)
     : store_(std::move(store)), state_(store_->num_attributes()) {
   JIM_CHECK(store_ != nullptr);

@@ -56,12 +56,6 @@ enum class TupleStatus {
   kLabeledNegative,
 };
 
-std::string_view TupleStatusToString(TupleStatus status);
-
-/// True for the two statuses that still carry a question mark.
-inline bool IsInformative(ClassStatus status) {
-  return status == ClassStatus::kInformative;
-}
 /// True for statuses whose tuples belong to the final join result.
 inline bool IsPositive(ClassStatus status) {
   return status == ClassStatus::kForcedPositive ||

@@ -8,18 +8,6 @@
 
 namespace jim::core {
 
-std::string_view TupleClassificationToString(TupleClassification c) {
-  switch (c) {
-    case TupleClassification::kForcedPositive:
-      return "forced-positive";
-    case TupleClassification::kForcedNegative:
-      return "forced-negative";
-    case TupleClassification::kInformative:
-      return "informative";
-  }
-  return "?";
-}
-
 InferenceState::InferenceState(size_t num_attributes)
     : num_attributes_(num_attributes),
       words_(lat::PairWords(num_attributes)),

@@ -25,8 +25,6 @@ enum class TupleClassification {
   kInformative,
 };
 
-std::string_view TupleClassificationToString(TupleClassification c);
-
 /// The complete knowledge accumulated from the user's labels, in canonical
 /// form (see DESIGN.md §1):
 ///
@@ -110,7 +108,8 @@ class InferenceState {
 
   /// Exact number of consistent predicates, by enumerating refinements of
   /// θ_P. Exponential; JIM_CHECK-fails if the refinement count exceeds
-  /// `limit`. For tests, the optimal strategy, and exact-entropy scoring.
+  /// `limit`. Only tests call it: the hypothesis-count checks of the
+  /// inference-state suites and the Figure 1 scenario.
   uint64_t CountConsistent(uint64_t limit = 1 << 22) const;
 
   /// Canonical memoization key: θ_P plus the sorted antichain.

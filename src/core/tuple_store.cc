@@ -145,4 +145,13 @@ std::shared_ptr<const TupleStore> MakeRelationStore(
                                                     pool);
 }
 
+rel::Relation MaterializeStore(const TupleStore& store) {
+  rel::Relation relation{store.name(), store.schema()};
+  relation.Reserve(store.num_tuples());
+  for (size_t t = 0; t < store.num_tuples(); ++t) {
+    relation.AddRowUnchecked(store.DecodeTuple(t));
+  }
+  return relation;
+}
+
 }  // namespace jim::core

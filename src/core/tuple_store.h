@@ -34,10 +34,10 @@ namespace jim::core {
 /// prompts, oracles, rendering) via DecodeValue/DecodeTuple.
 ///
 /// Implementations: RelationTupleStore (a materialized denormalized
-/// relation, encoded once at wrap time) and the factorized store behind
+/// relation, encoded once at wrap time), the factorized store behind
 /// query::UniversalTable (mixed-radix row ids over the source relations'
-/// encoded columns — no materialized rows at all). Future backends
-/// (mmap'd columnar files, sharded stores) plug in here.
+/// encoded columns — no materialized rows at all) and
+/// storage::MappedTupleStore (an mmap'd JIMC columnar file).
 class TupleStore {
  public:
   virtual ~TupleStore() = default;
@@ -137,6 +137,12 @@ std::shared_ptr<const TupleStore> MakeRelationStore(
 /// Same, encoding on `pool` explicitly (nullptr = serial).
 std::shared_ptr<const TupleStore> MakeRelationStore(
     std::shared_ptr<const rel::Relation> relation, exec::ThreadPool* pool);
+
+/// The inverse of MakeRelationStore: decodes every tuple of `store` into a
+/// materialized Relation (the O(N·n) representation the store backends
+/// exist to avoid — for export, small instances, and the selection-inference
+/// path that still wants Value rows).
+rel::Relation MaterializeStore(const TupleStore& store);
 
 }  // namespace jim::core
 

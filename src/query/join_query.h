@@ -48,7 +48,6 @@ class JoinQuery {
   const std::vector<std::string>& relations() const { return relations_; }
   const std::vector<ColumnEquality>& equalities() const { return equalities_; }
 
-  void AddRelation(std::string name) { relations_.push_back(std::move(name)); }
   void AddEquality(QualifiedColumn a, QualifiedColumn b) {
     equalities_.emplace_back(a, b);
   }

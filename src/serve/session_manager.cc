@@ -52,14 +52,11 @@ util::Status SessionManager::EnsureCheckpointDir() {
 }
 
 util::StatusOr<SessionManager::Instance*> SessionManager::GetOrOpenInstance(
-    const std::string& name, bool trusted) {
+    const std::string& name) {
   auto it = instances_.find(name);
   if (it != instances_.end()) return &it->second;
-  storage::OpenOptions open_options;
-  open_options.env = env_;
-  open_options.trusted = trusted;
   ASSIGN_OR_RETURN(std::shared_ptr<const core::TupleStore> store,
-                   storage::OpenStore(name, open_options));
+                   storage::OpenStore(name, env_));
   Instance instance;
   instance.prototype = std::make_shared<core::InferenceEngine>(store);
   instance.store = std::move(store);
@@ -116,8 +113,7 @@ util::StatusOr<SessionManager::CreateResult> SessionManager::Create(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     RETURN_IF_ERROR(CheckSessionCap());
-    ASSIGN_OR_RETURN(Instance * inst,
-                     GetOrOpenInstance(instance_name, /*trusted=*/false));
+    ASSIGN_OR_RETURN(Instance * inst, GetOrOpenInstance(instance_name));
     prototype = inst->prototype;
     if (shares_picks) {
       std::shared_ptr<FirstPicks>& slot = inst->first_picks[strategy];
@@ -484,8 +480,7 @@ util::Status SessionManager::RecoverSessions() {
     std::lock_guard<std::mutex> lock(mutex_);
     for (size_t i = 0; i < checkpoints.size(); ++i) {
       ASSIGN_OR_RETURN(Instance * instance,
-                       GetOrOpenInstance(checkpoints[i].instance,
-                                         options_.trusted_reopen));
+                       GetOrOpenInstance(checkpoints[i].instance));
       instance_of[i] = instance;
     }
   }

@@ -13,10 +13,10 @@
 namespace jim::storage {
 
 /// The storage tier's filesystem seam. Every byte the JIMC writer, the
-/// mapped reader, and the catalog snapshot machinery move to or from disk
-/// goes through one of these virtual calls — format.cc, store_writer.cc,
-/// mapped_store.cc, and snapshot.cc contain no direct syscalls or stream
-/// objects (tools/lint_determinism.py's raw-io rule enforces this). That
+/// mapped reader, and the daemon's session checkpoints move to or from disk
+/// goes through one of these virtual calls — format.cc, store_writer.cc
+/// and mapped_store.cc contain no direct syscalls or stream objects
+/// (tools/lint_determinism.py's raw-io rule enforces this). That
 /// indirection is what makes the durability story *testable*: a
 /// FaultInjectionEnv (fault_env.h) can fail the Nth operation, tear a
 /// write at any byte boundary, refuse mmap, or cut the power and replay

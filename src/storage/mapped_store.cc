@@ -64,18 +64,11 @@ void MappedTupleStore::ScanCodeArrays(std::vector<SectionEntry>& sections,
 
 util::StatusOr<std::shared_ptr<const MappedTupleStore>> MappedTupleStore::Open(
     const std::string& path, Env* env) {
-  OpenOptions options;
-  options.env = env;
-  return Open(path, options);
-}
-
-util::StatusOr<std::shared_ptr<const MappedTupleStore>> MappedTupleStore::Open(
-    const std::string& path, const OpenOptions& options) {
 #if defined(__BYTE_ORDER__) && (__BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__)
   return util::UnimplementedError(
       "JIMC mapping requires a little-endian host");
 #endif
-  Env& fs = options.env != nullptr ? *options.env : *DefaultEnv();
+  Env& fs = env != nullptr ? *env : *DefaultEnv();
   // Private ctor, so no make_shared; the aliasing around mutable Parse state
   // stays local to Open.
   std::shared_ptr<MappedTupleStore> store(new MappedTupleStore());
@@ -102,11 +95,11 @@ util::StatusOr<std::shared_ptr<const MappedTupleStore>> MappedTupleStore::Open(
   }
   store->data_ = store->region_->data();
   store->size_ = store->region_->size();
-  RETURN_IF_ERROR(store->Parse(options.trusted));
+  RETURN_IF_ERROR(store->Parse());
   return std::shared_ptr<const MappedTupleStore>(std::move(store));
 }
 
-util::Status MappedTupleStore::Parse(bool trusted) {
+util::Status MappedTupleStore::Parse() {
   if (size_ < kHeaderBytes) {
     return Corrupt(path_, util::StrFormat(
         "file of %zu bytes is smaller than the %zu-byte header", size_,
@@ -168,9 +161,7 @@ util::Status MappedTupleStore::Parse(bool trusted) {
     ASSIGN_OR_RETURN(section.length, table.ReadU64());
     ASSIGN_OR_RETURN(section.checksum, table.ReadU64());
   }
-  // Trusted reopen skips the checksum pass — the O(file) sequential read —
-  // and the code range scan, but never the bounds checks below.
-  if (!trusted) ScanCodeArrays(sections, dict_size);
+  ScanCodeArrays(sections, dict_size);
   for (const SectionEntry& section : sections) {
     if (section.offset > size_ || section.length > size_ - section.offset) {
       return Corrupt(path_, util::StrFormat(
@@ -179,7 +170,6 @@ util::Status MappedTupleStore::Parse(bool trusted) {
           static_cast<unsigned long long>(section.offset),
           static_cast<unsigned long long>(section.length), size_));
     }
-    if (trusted) continue;
     const uint64_t actual =
         section.scanned ? section.scanned_checksum
                         : Fnv1a64(data_ + section.offset,
@@ -350,9 +340,7 @@ util::Status MappedTupleStore::Parse(bool trusted) {
     const uint32_t* codes =
         reinterpret_cast<const uint32_t*>(data_ + section.offset);
     // An aligned array of the expected length was range-scanned with the
-    // checksums (ScanCodeArrays). That O(N·n) scan is the other cost trusted
-    // reopen trades away; a code it would have caught trips DecodeValue's
-    // JIM_CHECK instead.
+    // checksums (ScanCodeArrays).
     if (section.first_bad_tuple < num_tuples_) {
       const size_t t = section.first_bad_tuple;
       return Corrupt(path_, util::StrFormat(
@@ -424,12 +412,6 @@ size_t MappedTupleStore::ApproxBytes() const {
 util::StatusOr<std::shared_ptr<const core::TupleStore>> OpenStore(
     const std::string& path, Env* env) {
   ASSIGN_OR_RETURN(auto store, MappedTupleStore::Open(path, env));
-  return std::shared_ptr<const core::TupleStore>(std::move(store));
-}
-
-util::StatusOr<std::shared_ptr<const core::TupleStore>> OpenStore(
-    const std::string& path, const OpenOptions& options) {
-  ASSIGN_OR_RETURN(auto store, MappedTupleStore::Open(path, options));
   return std::shared_ptr<const core::TupleStore>(std::move(store));
 }
 

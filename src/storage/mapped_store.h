@@ -12,21 +12,6 @@
 
 namespace jim::storage {
 
-/// How to open a JIMC file.
-struct OpenOptions {
-  /// Filesystem to read through (nullptr → DefaultEnv()).
-  Env* env = nullptr;
-  /// Trusted reopen: skip the per-section checksum pass and the per-cell
-  /// code-range scan, keeping only the structural checks (header, section
-  /// bounds, name/schema parse, dictionary-page parse, code-array
-  /// alignment/length). Meant for reopening files this process (or a
-  /// previous incarnation of it, e.g. a restarting daemon) already opened
-  /// under full validation — O(sections + distinct values) instead of a
-  /// full sequential read of the file. A corrupt code that full validation
-  /// would have rejected instead trips DecodeValue's JIM_CHECK backstop.
-  bool trusted = false;
-};
-
 /// A TupleStore served straight from an mmap'd JIMC file (see
 /// storage/format.h): `code()` / `TupleCodes()` are zero-copy loads from the
 /// mapped per-column code arrays, and `DecodeValue()` parses the value
@@ -58,10 +43,6 @@ class MappedTupleStore final : public core::TupleStore {
   /// false.
   static util::StatusOr<std::shared_ptr<const MappedTupleStore>> Open(
       const std::string& path, Env* env = nullptr);
-
-  /// As above, with explicit options (trusted reopen lives here).
-  static util::StatusOr<std::shared_ptr<const MappedTupleStore>> Open(
-      const std::string& path, const OpenOptions& options);
 
   ~MappedTupleStore() override = default;
   MappedTupleStore(const MappedTupleStore&) = delete;
@@ -121,8 +102,8 @@ class MappedTupleStore final : public core::TupleStore {
   };
   static constexpr size_t kNoBadTuple = static_cast<size_t>(-1);
 
-  util::Status Parse(bool trusted);
-  /// The full-validation pass over the code arrays: checksums every
+  util::Status Parse();
+  /// The validation pass over the code arrays: checksums every
   /// in-bounds, aligned CODES section of the expected length and finds its
   /// first out-of-range code, reading each code once.
   void ScanCodeArrays(std::vector<SectionEntry>& sections,
@@ -150,10 +131,6 @@ class MappedTupleStore final : public core::TupleStore {
 /// CLI consume).
 util::StatusOr<std::shared_ptr<const core::TupleStore>> OpenStore(
     const std::string& path, Env* env = nullptr);
-
-/// As above, with explicit options.
-util::StatusOr<std::shared_ptr<const core::TupleStore>> OpenStore(
-    const std::string& path, const OpenOptions& options);
 
 }  // namespace jim::storage
 

@@ -142,5 +142,17 @@ TEST(RelationTupleStoreTest, ParallelIngestIsBitwiseIdenticalToSerial) {
   }
 }
 
+TEST(TupleStoreTest, MaterializeStoreDecodesEveryTuple) {
+  const auto store = workload::Figure1StorePtr();
+  const rel::Relation relation = MaterializeStore(*store);
+  EXPECT_EQ(relation.name(), store->name());
+  ASSERT_EQ(relation.num_rows(), store->num_tuples());
+  for (size_t t = 0; t < relation.num_rows(); ++t) {
+    const rel::Tuple decoded = store->DecodeTuple(t);
+    EXPECT_EQ(rel::TupleRepresentationKey(relation.row(t)),
+              rel::TupleRepresentationKey(decoded));
+  }
+}
+
 }  // namespace
 }  // namespace jim::core

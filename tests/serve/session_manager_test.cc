@@ -6,15 +6,18 @@
 // equal the uninterrupted manager's, including for RNG-bearing
 // strategies — and the in-place label path: one copy-on-write
 // detach per session, and a failed checkpoint write that leaves the session
-// exactly at its durable transcript. The shared first picks: every suggest
-// equals a fresh strategy's pick on an engine replayed from the session's
-// labels, the hit counter counts exactly the scripted reads, off-script
-// sessions, `random` and re-registered instances stay off a table that is
-// not theirs, and concurrent sessions racing on a slot match a serial run.
+// exactly at its durable transcript. Recovery reopens a file-backed
+// instance with full validation, so a corrupt instance file fails the
+// restart typed. The shared first picks: every suggest equals a fresh
+// strategy's pick on an engine replayed from the session's labels, the hit
+// counter counts exactly the scripted reads, off-script sessions, `random`
+// and re-registered instances stay off a table that is not theirs, and
+// concurrent sessions racing on a slot match a serial run.
 
 #include "serve/session_manager.h"
 
 #include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -28,6 +31,8 @@
 #include "obs/metrics.h"
 #include "storage/env.h"
 #include "storage/fault_env.h"
+#include "storage/format.h"
+#include "storage/store_writer.h"
 #include "util/bitset.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -231,6 +236,36 @@ TEST(SessionManagerTest, SuggestIsIdempotentUntilTheNextLabel) {
   }
 }
 
+/// Drives session `id` to completion in both managers with an exact
+/// oracle, requiring every suggest and label reply of `replica` to equal
+/// `original`'s, and both to identify the goal.
+void ExpectIdenticalContinuation(SessionManager& original,
+                                 SessionManager& replica,
+                                 const std::string& id,
+                                 const core::TupleStore& store,
+                                 const core::JoinPredicate& goal) {
+  for (size_t step = 0; step < 1000; ++step) {
+    auto expected = original.Suggest(id);
+    auto actual = replica.Suggest(id);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ASSERT_TRUE(actual.ok()) << actual.status();
+    ASSERT_EQ(expected->done, actual->done) << id;
+    if (expected->done) break;
+    ASSERT_EQ(expected->class_id, actual->class_id)
+        << id << " step " << step;
+    ASSERT_EQ(expected->tuple_index, actual->tuple_index);
+    const bool answer = OracleAnswer(store, goal, expected->tuple_index);
+    auto labeled_a = original.Label(id, expected->class_id, answer);
+    auto labeled_b = replica.Label(id, actual->class_id, answer);
+    ASSERT_TRUE(labeled_a.ok()) << labeled_a.status();
+    ASSERT_TRUE(labeled_b.ok()) << labeled_b.status();
+    ASSERT_EQ(labeled_a->pruned_classes, labeled_b->pruned_classes);
+    ASSERT_EQ(labeled_a->done, labeled_b->done);
+  }
+  EXPECT_TRUE(original.Result(id)->identified_goal) << id;
+  EXPECT_TRUE(replica.Result(id)->identified_goal) << id;
+}
+
 TEST(SessionManagerTest, RecoveryContinuesEverySessionIdentically) {
   // The determinism gate: for every strategy (RNG-bearing ones included),
   // drive k labels, recover into a fresh manager from the checkpoint dir,
@@ -275,27 +310,8 @@ TEST(SessionManagerTest, RecoveryContinuesEverySessionIdentically) {
   EXPECT_EQ(recovered->GetStats().recovered, strategies.size());
   EXPECT_EQ(recovered->GetStats().live, strategies.size());
 
-  for (size_t i = 0; i < ids.size(); ++i) {
-    for (size_t step = 0; step < 1000; ++step) {
-      auto original = manager->Suggest(ids[i]);
-      auto replica = recovered->Suggest(ids[i]);
-      ASSERT_TRUE(original.ok()) << original.status();
-      ASSERT_TRUE(replica.ok()) << replica.status();
-      ASSERT_EQ(original->done, replica->done) << ids[i];
-      if (original->done) break;
-      ASSERT_EQ(original->class_id, replica->class_id)
-          << ids[i] << " step " << step;
-      ASSERT_EQ(original->tuple_index, replica->tuple_index);
-      const bool answer = OracleAnswer(*store, goal, original->tuple_index);
-      auto labeled_a = manager->Label(ids[i], original->class_id, answer);
-      auto labeled_b = recovered->Label(ids[i], replica->class_id, answer);
-      ASSERT_TRUE(labeled_a.ok());
-      ASSERT_TRUE(labeled_b.ok());
-      ASSERT_EQ(labeled_a->pruned_classes, labeled_b->pruned_classes);
-      ASSERT_EQ(labeled_a->done, labeled_b->done);
-    }
-    EXPECT_TRUE(manager->Result(ids[i])->identified_goal) << ids[i];
-    EXPECT_TRUE(recovered->Result(ids[i])->identified_goal) << ids[i];
+  for (const std::string& id : ids) {
+    ExpectIdenticalContinuation(*manager, *recovered, id, *store, goal);
   }
 
   // New sessions in the recovered manager never collide with recovered ids.
@@ -464,6 +480,81 @@ TEST(SessionManagerTest, RecoveryFailsLoudOnCorruptCheckpoint) {
   const util::Status status = recovered->RecoverSessions();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(SessionManagerTest, RecoveryRejectsACorruptInstanceFile) {
+  // A session over an instance opened by path (a JIMC file, not a
+  // registered store): recovery reopens the file with full validation, so
+  // one flipped byte in a code array fails the restart typed, naming the
+  // section; the intact file recovers the session identically.
+  const std::string dir = FreshDir("corrupt_instance");
+  const std::string instance_dir = dir + "_instance";
+  std::filesystem::remove_all(instance_dir);
+  std::filesystem::create_directories(instance_dir);
+  const std::string instance = instance_dir + "/figure1.jimc";
+  auto store = workload::Figure1StorePtr();
+  ASSERT_TRUE(storage::WriteStore(*store, instance).ok());
+  const auto goal =
+      core::JoinPredicate::Parse(store->schema(), workload::kQ2).value();
+
+  ServeOptions options;
+  options.checkpoint_dir = dir;
+  SessionManager manager(options);
+  auto created =
+      manager.Create(instance, "lookahead-entropy", workload::kQ2, 3, 0);
+  ASSERT_TRUE(created.ok()) << created.status();
+  const std::string id = created->session_id;
+  for (size_t k = 0; k < 2; ++k) {
+    auto suggested = manager.Suggest(id);
+    ASSERT_TRUE(suggested.ok()) << suggested.status();
+    ASSERT_FALSE(suggested->done);
+    ASSERT_TRUE(manager
+                    .Label(id, suggested->class_id,
+                           OracleAnswer(*store, goal, suggested->tuple_index))
+                    .ok());
+  }
+
+  storage::Env& env = *storage::DefaultEnv();
+  const std::string intact = env.ReadFileToString(instance).value();
+  // The section table entry of column 0's code array: {id, column, offset,
+  // length, checksum} (storage/format.h).
+  uint32_t num_sections = 0;
+  std::memcpy(&num_sections, intact.data() + 20, sizeof(num_sections));
+  uint64_t codes_offset = 0;
+  for (uint32_t i = 0; i < num_sections; ++i) {
+    const char* entry =
+        intact.data() + storage::kHeaderBytes + i * storage::kSectionEntryBytes;
+    uint32_t section_id = 0;
+    uint32_t column = 0;
+    std::memcpy(&section_id, entry, sizeof(section_id));
+    std::memcpy(&column, entry + 4, sizeof(column));
+    if (section_id == static_cast<uint32_t>(storage::SectionId::kCodes) &&
+        column == 0) {
+      std::memcpy(&codes_offset, entry + 8, sizeof(codes_offset));
+    }
+  }
+  ASSERT_GT(codes_offset, 0u);
+  ASSERT_LT(codes_offset, intact.size());
+  std::string corrupt = intact;
+  corrupt[codes_offset] ^= 0x01;
+  ASSERT_TRUE(storage::WriteFileAtomically(env, instance, corrupt).ok());
+  {
+    SessionManager restarted(options);
+    const util::Status status = restarted.RecoverSessions();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find("checksum mismatch in section id=4 "
+                                    "column=0"),
+              std::string::npos)
+        << status;
+    EXPECT_EQ(restarted.GetStats().live, 0u);
+  }
+
+  ASSERT_TRUE(storage::WriteFileAtomically(env, instance, intact).ok());
+  SessionManager recovered(options);
+  ASSERT_TRUE(recovered.RecoverSessions().ok());
+  EXPECT_EQ(recovered.GetStats().recovered, 1u);
+  ExpectIdenticalContinuation(manager, recovered, id, *store, goal);
 }
 
 /// Every field of a suggest/label/status/result reply, as one line — what
