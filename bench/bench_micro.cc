@@ -25,11 +25,14 @@
 #include "exec/thread_pool.h"
 #include "lattice/enumeration.h"
 #include "lattice/partition.h"
+#include "serve/protocol.h"
+#include "serve/session_manager.h"
 #include "storage/mapped_store.h"
 #include "storage/store_writer.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 #include "workload/synthetic.h"
@@ -372,6 +375,69 @@ void RegisterAll(std::vector<BenchResult>& results) {
       auto strategy = core::MakeStrategy("lookahead-entropy").value();
       DoNotOptimize(core::RunSession(instance, goal, *strategy).interactions);
     }));
+  }
+  // A daemon's session start, by layer. ParseRequest decodes a `create` and
+  // a `label` line shaped like jimbench's; JoinPredicateParse is a rank-3
+  // goal in qualified names; SessionManagerCreate@10k starts a session on a
+  // registered 10k instance (checkpoints off) and closes it, net of the
+  // close, which is timed alone over a batch of sessions. All run warm: a
+  // daemon under load runs `create` with cold caches, several times slower.
+  {
+    const std::string create_line =
+        R"({"verb":"create","strategy":"local-bottom-up",)"
+        R"("goal":"A0=A3 && A1=A4","seed":1234567890})";
+    const std::string label_line =
+        R"({"verb":"label","session":"s123","class":17,"answer":false})";
+    for (const std::string* line : {&create_line, &label_line}) {
+      const auto parsed = serve::ParseRequest(*line);
+      JIM_CHECK_OK(parsed.status());
+    }
+    results.push_back(RunBench("ParseRequestCreate", -1, [&] {
+      const auto parsed = serve::ParseRequest(create_line);
+      DoNotOptimize(parsed.ok());
+    }));
+    results.push_back(RunBench("ParseRequestLabel", -1, [&] {
+      const auto parsed = serve::ParseRequest(label_line);
+      DoNotOptimize(parsed.ok());
+    }));
+    const rel::Schema side = rel::Schema::FromNames({"A", "B", "C"});
+    const rel::Schema joined = rel::Schema::Concat(side, "R", side, "S");
+    const std::string goal = "R.A=S.A && R.B=S.B && R.C=S.C";
+    {
+      const auto parsed = core::JoinPredicate::Parse(joined, goal);
+      JIM_CHECK_OK(parsed.status());
+      JIM_CHECK_EQ(parsed->NumConstraints(), size_t{3});
+    }
+    results.push_back(RunBench("JoinPredicateParse", 3, [&] {
+      const auto parsed = core::JoinPredicate::Parse(joined, goal);
+      DoNotOptimize(parsed.ok());
+    }));
+
+    constexpr size_t kCloseBatch = 256;
+    serve::ServeOptions options;
+    options.max_sessions = kCloseBatch;
+    serve::SessionManager manager(options);
+    manager.RegisterInstance("synthetic-10k", MakeSynthetic(10000, 11).store);
+    const auto create = [&manager] {
+      auto created = manager.Create("synthetic-10k", "local-bottom-up",
+                                    "A0=A3 && A1=A4", 7, 0);
+      JIM_CHECK_OK(created.status());
+      return created->session_id;
+    };
+    BenchResult create_close =
+        RunBench("SessionManagerCreate", 10000,
+                 [&] { JIM_CHECK_OK(manager.Close(create())); });
+    double close_ns = 0;
+    for (int round = 0; round < 5; ++round) {
+      std::vector<std::string> ids;
+      for (size_t i = 0; i < kCloseBatch; ++i) ids.push_back(create());
+      util::Stopwatch watch;
+      for (const std::string& id : ids) JIM_CHECK_OK(manager.Close(id));
+      const double ns = watch.ElapsedSeconds() * 1e9 / kCloseBatch;
+      close_ns = round == 0 ? ns : std::min(close_ns, ns);
+    }
+    create_close.ns_per_op = std::max(0.0, create_close.ns_per_op - close_ns);
+    results.push_back(create_close);
   }
 }
 

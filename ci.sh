@@ -18,17 +18,20 @@
 #                        actually reference
 #   - ASAN stage         columnar storage/ingest suites plus the lookahead
 #                        pick parity + trail-undo suites under address, the
-#                        writer's byte parity against its naive reference
-#                        and the class build's against the RGS grouping
+#                        writer's byte parity against its naive reference,
+#                        the class build's against the RGS grouping, and
+#                        the request decoder and goal parser against theirs
 #   - UBSAN stage        integer-kernel + storage suites (the lookahead
 #                        kernel's edge cases and the pair-set inference
 #                        state's 0-, 1- and 2-word parity and the class
-#                        build's included, and the writer's byte parity) AND
-#                        the deterministic fuzz driver (5000 mutated JIMC
-#                        images, goal strings
-#                        and protocol request lines through ParseJson /
-#                        ParseRequest) under address+undefined with every
-#                        finding fatal (-fno-sanitize-recover)
+#                        build's included, the writer's byte parity, and the
+#                        request-decoder and goal-parse parity) AND the
+#                        deterministic fuzz driver (5000 mutated JIMC
+#                        images, goal strings and protocol request lines
+#                        through ParseJson / ParseRequest, the goals and
+#                        requests checked against their naive references)
+#                        under address+undefined with every finding fatal
+#                        (-fno-sanitize-recover)
 #   - CRASH stage        fault-injection + crash-recovery suites under
 #                        address sanitizer: every syscall index during
 #                        WriteStore crashed and replayed, old-XOR-new
@@ -37,8 +40,10 @@
 #                        protocol/session-manager suites, the checkpoint
 #                        crash-point enumeration, the 64-session TCP e2e
 #                        with kill+restart transcript diffing, plus the
-#                        JSON-reader suite, and a jim_cli serve --stdio
-#                        smoke against the round-trip instance
+#                        JSON-reader suite and the request-decoder and
+#                        goal-parse parity suites, a jim_cli serve --stdio
+#                        smoke against the round-trip instance, and a
+#                        serve run with a misspelt flag that must fail
 #   - audit stage        -DJIM_AUDIT_INVARIANTS=ON build running the parity
 #                        suites (the pair-set inference state against its
 #                        naive partition reference included) with every
@@ -261,9 +266,10 @@ else
     query_factorized_parity_test core_encoded_parity_test query_query_test \
     core_engine_cow_test core_lookahead_parity_test core_speculation_test \
     storage_jimc_format_test storage_mapped_parity_test \
-    storage_store_writer_parity_test core_class_build_parity_test
+    storage_store_writer_parity_test core_class_build_parity_test \
+    serve_request_decoder_parity_test core_goal_parse_parity_test
   run_ctest build-asan \
-    'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|LookaheadParity|Speculation|UniversalTable|EngineCow|Jimc|MappedParity|ParallelEncode|StoreWriterParity|ClassBuildParity'
+    'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|LookaheadParity|Speculation|UniversalTable|EngineCow|Jimc|MappedParity|ParallelEncode|StoreWriterParity|ClassBuildParity|RequestDecoderParity|GoalParseParity'
 fi
 
 # --- UBSAN stage (address+undefined, findings fatal) ---------------------
@@ -284,11 +290,13 @@ else
     relational_dictionary_test storage_jimc_format_test \
     storage_byte_reader_test storage_mapped_parity_test \
     storage_store_writer_parity_test core_class_build_parity_test \
+    serve_request_decoder_parity_test core_goal_parse_parity_test \
     fuzz_jimc_main
   run_ctest build-ubsan \
-    'Partition|Antichain|KernelParity|InferenceStateParity|BellNumber|Refinements|Covers|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|InvariantAudit|StoreWriterParity|ClassBuildParity|fuzz_jimc_smoke'
+    'Partition|Antichain|KernelParity|InferenceStateParity|BellNumber|Refinements|Covers|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|InvariantAudit|StoreWriterParity|ClassBuildParity|RequestDecoderParity|GoalParseParity|fuzz_jimc_smoke'
   # The deterministic fuzz driver, long run: 5000 mutated JIMC images, goal
-  # strings and protocol request lines, every outcome a typed Status, under
+  # strings and protocol request lines, every outcome a typed Status and
+  # every goal and request decided as its naive reference decides it, under
   # ASAN+UBSAN with findings fatal. Reproduce any failure with the printed
   # seed.
   ./build-ubsan/fuzz_jimc_main --seed=1 --iterations=5000
@@ -328,8 +336,10 @@ else
   cmake --build build-asan -j --target \
     serve_protocol_test serve_session_manager_test \
     serve_checkpoint_crash_test serve_server_e2e_test \
-    util_json_reader_test
-  run_ctest build-asan 'Protocol|SessionManager|Serve|JsonReader'
+    util_json_reader_test serve_request_decoder_parity_test \
+    core_goal_parse_parity_test
+  run_ctest build-asan \
+    'Protocol|SessionManager|Serve|JsonReader|RequestDecoderParity|GoalParseParity'
   # stdio smoke against the tier-1 build: one piped daemon run must answer
   # ping/stats and exit cleanly on the shutdown verb.
   printf '%s\n' '{"verb":"ping"}' '{"verb":"stats"}' '{"verb":"shutdown"}' | \
@@ -339,6 +349,20 @@ else
   grep -qF '"verb":"ping"' "$smokedir/serve_stdio.txt"
   grep -qF '"live":0' "$smokedir/serve_stdio.txt"
   grep -qF '"verb":"shutdown"' "$smokedir/serve_stdio.txt"
+  # A misspelt flag must stop the daemon before it serves: with
+  # --checkpoint_dir (underscore) it would otherwise run with checkpoints
+  # off. The exit must be non-zero and the message must name the flag.
+  if ./build/jim_cli serve --stdio --checkpoint_dir="$smokedir/ckpt" \
+      < /dev/null > /dev/null 2> "$smokedir/serve_badflag.err"; then
+    echo "ERROR: jim_cli serve accepted the unknown flag --checkpoint_dir" >&2
+    exit 1
+  fi
+  grep -qF -- "--checkpoint_dir" "$smokedir/serve_badflag.err"
+  if [[ -e "$smokedir/ckpt" ]]; then
+    echo "ERROR: jim_cli serve created a checkpoint directory from an" \
+      "unknown flag" >&2
+    exit 1
+  fi
 fi
 
 # --- invariant-audit stage -----------------------------------------------

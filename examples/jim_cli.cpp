@@ -51,9 +51,12 @@
 //   jim_cli infer flights.csv --save-instance=flights.jimc
 //   jim_cli infer --load-instance=flights.jimc --auto --goal="To=City"
 
+#include <algorithm>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/jim.h"
 #include "obs/metrics.h"
@@ -110,17 +113,54 @@ util::Status WriteTextFile(const std::string& path,
   return storage::WriteFileAtomically(*env, path, contents + "\n");
 }
 
-Flags ParseFlags(int argc, char** argv, int first) {
+// The flags `command` reads, besides --metrics-out (which every command
+// takes); nullopt for an unknown command, which main rejects by name. A flag
+// outside the list is an error rather than ignored: a misspelt
+// --checkpoint_dir would otherwise serve with checkpoints off.
+std::optional<std::vector<std::string>> CommandFlags(
+    const std::string& command) {
+  if (command == "strategies") return std::vector<std::string>{};
+  if (command == "classes") {
+    return std::vector<std::string>{"load-instance", "save-instance"};
+  }
+  if (command == "eval") {
+    return std::vector<std::string>{"load-instance", "save-instance",
+                                    "query"};
+  }
+  if (command == "infer") {
+    return std::vector<std::string>{"load-instance", "save-instance",
+                                    "strategy",      "mode",
+                                    "goal",          "auto",
+                                    "selection",     "trace"};
+  }
+  if (command == "serve") {
+    return std::vector<std::string>{
+        "load-instance", "port",      "stdio",          "checkpoint-dir",
+        "max-sessions",  "max-steps", "max-connections"};
+  }
+  if (command == "call") return std::vector<std::string>{"port"};
+  return std::nullopt;
+}
+
+util::StatusOr<Flags> ParseFlags(int argc, char** argv, int first,
+                                 const std::string& command) {
+  std::optional<std::vector<std::string>> known = CommandFlags(command);
+  if (known.has_value()) known->push_back("metrics-out");
   Flags flags;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     if (util::StartsWith(arg, "--")) {
       const size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        flags.named[arg.substr(2)] = "true";
-      } else {
-        flags.named[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+      const std::string name = arg.substr(2, eq == std::string::npos
+                                                 ? std::string::npos
+                                                 : eq - 2);
+      if (known.has_value() &&
+          std::find(known->begin(), known->end(), name) == known->end()) {
+        return util::InvalidArgumentError("unknown flag '--" + name +
+                                          "' for '" + command + "'");
       }
+      flags.named[name] =
+          eq == std::string::npos ? "true" : arg.substr(eq + 1);
     } else {
       flags.positional.push_back(arg);
     }
@@ -400,7 +440,9 @@ int CmdCall(const Flags& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return CmdDemo();
   const std::string command = argv[1];
-  const Flags flags = ParseFlags(argc, argv, 2);
+  auto parsed_flags = ParseFlags(argc, argv, 2, command);
+  if (!parsed_flags.ok()) return Fail(parsed_flags.status().message());
+  const Flags flags = *std::move(parsed_flags);
   // Metrics switch on before any work so engine construction, session
   // strategy pools, and storage I/O are all visible in the snapshot.
   if (flags.Has("metrics-out")) obs::SetMetricsEnabled(true);

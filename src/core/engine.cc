@@ -578,13 +578,13 @@ InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
   return result;
 }
 
-bool InferenceEngine::InstanceEquivalent(const JoinPredicate& p1,
-                                         const JoinPredicate& p2) const {
+bool InferenceEngine::InstanceEquivalent(const lat::Partition& p1,
+                                         const lat::Partition& p2) const {
   const size_t words = pair_words_;
   std::vector<uint64_t> pairs1(words);
   std::vector<uint64_t> pairs2(words);
-  lat::FillPairBits(p1.partition(), pairs1.data());
-  lat::FillPairBits(p2.partition(), pairs2.data());
+  lat::FillPairBits(p1, pairs1.data());
+  lat::FillPairBits(p2, pairs2.data());
   for (size_t c = 0; c < classes_->size(); ++c) {
     const uint64_t* part = ClassPairBits(c);
     if (lat::PairSubset(pairs1.data(), part, words) !=

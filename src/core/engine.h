@@ -291,13 +291,15 @@ class InferenceEngine {
   LabelImpactPair SimulateLabelBoth(size_t position,
                                     const LookaheadCache& cache) const;
 
-  /// True iff p1 and p2 select exactly the same tuples of the instance —
-  /// InstanceEquivalent(store(), p1, p2) decided over the class table
-  /// instead of the tuples: P selects class c iff P ≤ Part(c), i.e.
-  /// pairs(P) ⊆ pairs(Part(c)) (NULLs are singletons in Part(c), matching
-  /// JoinPredicate::SelectsCodes). ⌈P ÷ 64⌉ words per class.
-  bool InstanceEquivalent(const JoinPredicate& p1,
-                          const JoinPredicate& p2) const;
+  /// True iff the predicates with partitions p1 and p2 select exactly the
+  /// same tuples of the instance — InstanceEquivalent(store(), P1, P2)
+  /// decided over the class table instead of the tuples: P selects class c
+  /// iff P ≤ Part(c), i.e. pairs(P) ⊆ pairs(Part(c)) (NULLs are singletons
+  /// in Part(c), matching JoinPredicate::SelectsCodes). ⌈P ÷ 64⌉ words per
+  /// class. Takes partitions, so a goal kept without its schema (a serving
+  /// session's) needs no JoinPredicate around it.
+  bool InstanceEquivalent(const lat::Partition& p1,
+                          const lat::Partition& p2) const;
 
   /// Progress counters for the demo UI and session traces.
   struct Stats {

@@ -1,6 +1,7 @@
 #include "core/join_predicate.h"
 
 #include <algorithm>
+#include <cctype>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -16,81 +17,137 @@ JoinPredicate::JoinPredicate(rel::Schema schema, lat::Partition partition)
   JIM_CHECK_EQ(schema_.num_attributes(), partition_.num_elements());
 }
 
+namespace {
+
+bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)); }
+
+/// True iff text[i..i+2] is the UTF-8 sequence E2 `second` `third`.
+bool Utf8At(std::string_view text, size_t i, unsigned char second,
+            unsigned char third) {
+  return i + 2 < text.size() && static_cast<unsigned char>(text[i]) == 0xE2 &&
+         static_cast<unsigned char>(text[i + 1]) == second &&
+         static_cast<unsigned char>(text[i + 2]) == third;
+}
+
+/// Length of the conjunction separator at text[i], 0 if none: '&', "∧"
+/// (E2 88 A7), or the word "and" in any case with whitespace or an end of
+/// the text on both sides. ("&&" is two separators around an empty
+/// conjunct.)
+size_t SeparatorAt(std::string_view text, size_t i) {
+  if (text[i] == '&') return 1;
+  if (Utf8At(text, i, 0x88, 0xA7)) return 3;
+  if (i + 3 <= text.size() && (text[i] | 0x20) == 'a' &&
+      (text[i + 1] | 0x20) == 'n' && (text[i + 2] | 0x20) == 'd' &&
+      (i == 0 || IsSpace(text[i - 1])) &&
+      (i + 3 == text.size() || IsSpace(text[i + 3]))) {
+    return 3;
+  }
+  return 0;
+}
+
+/// Length of the equality sign at text[i], 0 if none: '=' or "≈" (E2 89 88).
+size_t EqualsAt(std::string_view text, size_t i) {
+  if (text[i] == '=') return 1;
+  return Utf8At(text, i, 0x89, 0x88) ? 3 : 0;
+}
+
+/// `conjunct` as error messages quote it: every "≈" spelled '='.
+std::string QuotedConjunct(std::string_view conjunct) {
+  std::string quoted;
+  for (size_t i = 0; i < conjunct.size();) {
+    const size_t equals = EqualsAt(conjunct, i);
+    quoted.push_back(equals != 0 ? '=' : conjunct[i]);
+    i += equals != 0 ? equals : 1;
+  }
+  return quoted;
+}
+
+/// An unknown attribute name is malformed *input text*, not a missing
+/// resource: report kInvalidArgument like every other parse failure
+/// (kNotFound is reserved for absent files/relations, and callers route on
+/// that distinction).
+util::StatusOr<size_t> ResolveAttribute(const rel::Schema& schema,
+                                        std::string_view name) {
+  auto index = schema.IndexOf(name);
+  if (!index.ok()) {
+    return util::InvalidArgumentError(
+        "unknown attribute '" + std::string(name) + "' in join predicate (" +
+        std::string(index.status().message()) + ")");
+  }
+  return index;
+}
+
+}  // namespace
+
+util::StatusOr<lat::Partition> JoinPredicate::ParsePartition(
+    const rel::Schema& schema, std::string_view text) {
+  // One pass: each conjunct is resolved as soon as its separator (or the end
+  // of the text) is reached, and its pair merged into `labels`, a canonical
+  // restricted growth string from the start. Merging blocks a < b relabels
+  // b as a and closes the gap above b, which keeps it canonical: block a
+  // still opens before every block it did.
+  std::vector<int> labels(schema.num_attributes());
+  for (size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<int>(i);
+  size_t start = 0;         // first byte of the current conjunct
+  size_t equals_pos = 0;    // its first equality sign
+  size_t equals_len = 0;
+  size_t equals_count = 0;
+  for (size_t pos = 0;;) {
+    const size_t separator = pos < text.size() ? SeparatorAt(text, pos) : 0;
+    if (pos < text.size() && separator == 0) {
+      const size_t equals = EqualsAt(text, pos);
+      if (equals != 0 && equals_count++ == 0) {
+        equals_pos = pos;
+        equals_len = equals;
+      }
+      pos += equals != 0 ? equals : 1;
+      continue;
+    }
+    // The conjunct text[start, pos) ends here.
+    const std::string_view conjunct =
+        util::StripWhitespace(text.substr(start, pos - start));
+    if (!conjunct.empty()) {  // tolerate "a=b && && c=d" and "&&"
+      if (equals_count != 1) {
+        return util::InvalidArgumentError(
+            "expected exactly one '=' in conjunct '" +
+            QuotedConjunct(conjunct) + "'");
+      }
+      const size_t left_begin =
+          static_cast<size_t>(conjunct.data() - text.data());
+      const size_t right_begin = equals_pos + equals_len;
+      const size_t right_end = left_begin + conjunct.size();
+      ASSIGN_OR_RETURN(
+          size_t left,
+          ResolveAttribute(schema, util::StripWhitespace(text.substr(
+                                       left_begin, equals_pos - left_begin))));
+      ASSIGN_OR_RETURN(
+          size_t right,
+          ResolveAttribute(schema, util::StripWhitespace(text.substr(
+                                       right_begin, right_end - right_begin))));
+      int keep = labels[left];
+      int merge = labels[right];
+      if (keep != merge) {
+        if (keep > merge) std::swap(keep, merge);
+        for (int& label : labels) {
+          if (label == merge) {
+            label = keep;
+          } else if (label > merge) {
+            --label;
+          }
+        }
+      }
+    }
+    if (pos >= text.size()) break;
+    pos += separator;
+    start = pos;
+    equals_count = 0;
+  }
+  return lat::Partition::FromLabels(labels);
+}
+
 util::StatusOr<JoinPredicate> JoinPredicate::Parse(const rel::Schema& schema,
                                                    std::string_view text) {
-  // Normalize the conjunction separators to '&'.
-  std::string normalized;
-  normalized.reserve(text.size());
-  for (size_t i = 0; i < text.size();) {
-    // "∧" is the UTF-8 sequence E2 88 A7.
-    if (i + 2 < text.size() && static_cast<unsigned char>(text[i]) == 0xE2 &&
-        static_cast<unsigned char>(text[i + 1]) == 0x88 &&
-        static_cast<unsigned char>(text[i + 2]) == 0xA7) {
-      normalized.push_back('&');
-      i += 3;
-      continue;
-    }
-    // "≈" is the UTF-8 sequence E2 89 88.
-    if (i + 2 < text.size() && static_cast<unsigned char>(text[i]) == 0xE2 &&
-        static_cast<unsigned char>(text[i + 1]) == 0x89 &&
-        static_cast<unsigned char>(text[i + 2]) == 0x88) {
-      normalized.push_back('=');
-      i += 3;
-      continue;
-    }
-    normalized.push_back(text[i]);
-    ++i;
-  }
-  // Textual "AND" (any case, token-delimited) -> '&'.
-  std::string lowered = util::ToLower(normalized);
-  std::string collapsed;
-  for (size_t i = 0; i < normalized.size();) {
-    if (i + 3 <= normalized.size() && lowered.compare(i, 3, "and") == 0 &&
-        (i == 0 || std::isspace(static_cast<unsigned char>(normalized[i - 1]))) &&
-        (i + 3 == normalized.size() ||
-         std::isspace(static_cast<unsigned char>(normalized[i + 3])))) {
-      collapsed.push_back('&');
-      i += 3;
-    } else {
-      collapsed.push_back(normalized[i]);
-      ++i;
-    }
-  }
-
-  std::vector<std::pair<size_t, size_t>> pairs;
-  for (const std::string& raw_conjunct : util::Split(collapsed, '&')) {
-    const std::string_view conjunct = util::StripWhitespace(raw_conjunct);
-    if (conjunct.empty()) continue;  // tolerate "a=b && && c=d" and "&&"
-    const auto sides = util::Split(std::string(conjunct), '=');
-    if (sides.size() != 2) {
-      return util::InvalidArgumentError(
-          "expected exactly one '=' in conjunct '" + std::string(conjunct) +
-          "'");
-    }
-    const auto left = util::StripWhitespace(sides[0]);
-    const auto right = util::StripWhitespace(sides[1]);
-    // An unknown attribute name is malformed *input text*, not a missing
-    // resource: report kInvalidArgument like every other parse failure
-    // (kNotFound is reserved for absent files/relations, and callers route
-    // on that distinction).
-    const auto resolve = [&schema](std::string_view side)
-        -> util::StatusOr<size_t> {
-      auto index = schema.IndexOf(side);
-      if (!index.ok()) {
-        return util::InvalidArgumentError(
-            "unknown attribute '" + std::string(side) +
-            "' in join predicate (" + std::string(index.status().message()) +
-            ")");
-      }
-      return index;
-    };
-    ASSIGN_OR_RETURN(size_t left_index, resolve(left));
-    ASSIGN_OR_RETURN(size_t right_index, resolve(right));
-    pairs.emplace_back(left_index, right_index);
-  }
-  ASSIGN_OR_RETURN(
-      lat::Partition partition,
-      lat::Partition::FromPairs(schema.num_attributes(), pairs));
+  ASSIGN_OR_RETURN(lat::Partition partition, ParsePartition(schema, text));
   return JoinPredicate(schema, std::move(partition));
 }
 

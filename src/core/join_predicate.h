@@ -36,6 +36,12 @@ class JoinPredicate {
   static util::StatusOr<JoinPredicate> Parse(const rel::Schema& schema,
                                              std::string_view text);
 
+  /// Parse's partition alone, for callers that keep only the partition (a
+  /// serving session's goal) and need no copy of the schema. One pass over
+  /// the text, with no intermediate strings; Parse is this plus the copy.
+  static util::StatusOr<lat::Partition> ParsePartition(
+      const rel::Schema& schema, std::string_view text);
+
   const rel::Schema& schema() const { return schema_; }
   const lat::Partition& partition() const { return partition_; }
 

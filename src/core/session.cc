@@ -211,7 +211,8 @@ SessionResult RunSessionOnEngine(InferenceEngine& engine,
   result.interactions = result.steps.size();
   result.total_seconds = session_clock.ElapsedSeconds();
   result.result = engine.Result();
-  result.identified_goal = engine.InstanceEquivalent(*result.result, goal);
+  result.identified_goal = engine.InstanceEquivalent(
+      result.result->partition(), goal.partition());
   result.final_stats = engine.GetStats();
   result.wasted_interactions += result.final_stats.wasted_interactions;
   if (options.tracer != nullptr) {

@@ -65,7 +65,8 @@ CrowdRunResult RunCrowdJim(std::shared_ptr<const core::TupleStore> store,
     // An informative class accepts either answer, so this cannot fail.
     JIM_CHECK_OK(engine.SubmitClassLabel(class_id, answer));
   }
-  result.correct = engine.InstanceEquivalent(engine.Result(), goal);
+  result.correct =
+      engine.InstanceEquivalent(engine.state().theta_p(), goal.partition());
   return result;
 }
 

@@ -28,7 +28,22 @@ void Partition::FinishCanonical() {
 }
 
 std::vector<int> Partition::Canonicalize(const std::vector<int>& labels) {
-  std::vector<int> canonical(labels.size());
+  const size_t n = labels.size();
+  std::vector<int> canonical(n);
+  // Labels in [0, n) — union-find roots, RGS inputs — remap through a flat
+  // table; only arbitrary labels need the hash map.
+  if (std::all_of(labels.begin(), labels.end(), [n](int label) {
+        return label >= 0 && static_cast<size_t>(label) < n;
+      })) {
+    std::vector<int> remap(n, -1);
+    int next = 0;
+    for (size_t i = 0; i < n; ++i) {
+      int& slot = remap[static_cast<size_t>(labels[i])];
+      if (slot < 0) slot = next++;
+      canonical[i] = slot;
+    }
+    return canonical;
+  }
   std::unordered_map<int, int> remap;
   remap.reserve(labels.size());
   int next = 0;

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include "util/json_lexer.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
 #include "util/string_util.h"
@@ -7,65 +8,136 @@
 namespace jim::serve {
 namespace {
 
-/// Reads an optional string member into `out`; present-but-wrong-kind is a
-/// typed error (silent fallbacks hide client bugs).
-util::Status ReadString(const util::JsonValue& object, std::string_view key,
-                        std::string& out) {
-  const util::JsonValue* member = object.Find(key);
-  if (member == nullptr) return util::OkStatus();
-  if (!member->is_string()) {
-    return util::InvalidArgumentError(
-        util::StrFormat("request member '%s' must be a string",
-                        std::string(key).c_str()));
+/// The members ParseRequest decodes, in the order their types are checked.
+enum Field {
+  kVerb,
+  kSession,
+  kInstance,
+  kStrategy,
+  kGoal,
+  kSeed,
+  kMaxSteps,
+  kClass,
+  kAnswer,
+  kNumFields
+};
+
+constexpr std::string_view kFieldNames[kNumFields] = {
+    "verb", "session", "instance", "strategy", "goal",
+    "seed", "max_steps", "class", "answer"};
+
+/// Where a known member stands once the line is read. The last occurrence
+/// of a repeated key overwrites what the earlier ones left.
+enum class Member : uint8_t { kAbsent, kOk, kWrongType };
+
+int FieldOf(std::string_view key) {
+  for (int field = 0; field < kNumFields; ++field) {
+    if (kFieldNames[field] == key) return field;
   }
-  out = member->AsString();
-  return util::OkStatus();
+  return -1;
 }
 
-util::Status ReadUint(const util::JsonValue& object, std::string_view key,
-                      uint64_t& out, bool& present) {
-  const util::JsonValue* member = object.Find(key);
-  present = member != nullptr;
-  if (member == nullptr) return util::OkStatus();
-  if (!member->is_int() || member->AsInt64() < 0) {
-    return util::InvalidArgumentError(
-        util::StrFormat("request member '%s' must be a non-negative integer",
-                        std::string(key).c_str()));
+util::Status WrongTypeError(int field) {
+  const char* kind = field <= kGoal    ? "a string"
+                     : field <= kClass ? "a non-negative integer"
+                                       : "a boolean";
+  return util::InvalidArgumentError(
+      util::StrFormat("request member '%s' must be %s",
+                      std::string(kFieldNames[field]).c_str(), kind));
+}
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// Reads a member's value. A value of the member's type is decoded into
+/// `out`; any other value is read and validated as JSON and marks the
+/// member kWrongType.
+util::Status ReadMember(util::JsonLexer& lexer, std::string& out,
+                        Member& state) {
+  if (!lexer.AtEnd() && lexer.Peek() == '"') {
+    state = Member::kOk;
+    return lexer.ReadString(out);
   }
-  out = static_cast<uint64_t>(member->AsInt64());
-  return util::OkStatus();
+  state = Member::kWrongType;
+  return util::ReadJsonValue(lexer, 1, nullptr);
+}
+
+util::Status ReadMember(util::JsonLexer& lexer, uint64_t& out,
+                        Member& state) {
+  if (!lexer.AtEnd() && (lexer.Peek() == '-' || IsDigit(lexer.Peek()))) {
+    util::JsonLexer::Number number;
+    RETURN_IF_ERROR(lexer.ReadNumber(number));
+    const bool ok = number.is_int && number.as_int >= 0;
+    state = ok ? Member::kOk : Member::kWrongType;
+    if (ok) out = static_cast<uint64_t>(number.as_int);
+    return util::OkStatus();
+  }
+  state = Member::kWrongType;
+  return util::ReadJsonValue(lexer, 1, nullptr);
+}
+
+util::Status ReadMember(util::JsonLexer& lexer, bool& out, Member& state) {
+  if (!lexer.AtEnd() && (lexer.Peek() == 't' || lexer.Peek() == 'f')) {
+    const bool value = lexer.Peek() == 't';
+    RETURN_IF_ERROR(lexer.ReadLiteral(value ? "true" : "false"));
+    state = Member::kOk;
+    out = value;
+    return util::OkStatus();
+  }
+  state = Member::kWrongType;
+  return util::ReadJsonValue(lexer, 1, nullptr);
 }
 
 }  // namespace
 
 util::StatusOr<Request> ParseRequest(std::string_view line) {
-  ASSIGN_OR_RETURN(util::JsonValue document, util::ParseJson(line));
-  if (!document.is_object()) {
+  util::JsonLexer lexer(line);
+  lexer.SkipWhitespace();
+  if (lexer.AtEnd() || lexer.Peek() != '{') {
+    // A line that is not JSON reports the JSON error, as ParseJson would.
+    RETURN_IF_ERROR(util::ReadJsonValue(lexer, 0, nullptr));
+    RETURN_IF_ERROR(lexer.ExpectEnd());
     return util::InvalidArgumentError("request must be a JSON object");
   }
   Request request;
-  RETURN_IF_ERROR(ReadString(document, "verb", request.verb));
+  Member state[kNumFields] = {};
+  std::string key;
+  RETURN_IF_ERROR(lexer.ReadObject(
+      key, [&](const std::string& name) -> util::Status {
+        const int field = FieldOf(name);
+        switch (field) {
+          case kVerb:
+            return ReadMember(lexer, request.verb, state[field]);
+          case kSession:
+            return ReadMember(lexer, request.session, state[field]);
+          case kInstance:
+            return ReadMember(lexer, request.instance, state[field]);
+          case kStrategy:
+            if (!request.strategy.has_value()) request.strategy.emplace();
+            return ReadMember(lexer, *request.strategy, state[field]);
+          case kGoal:
+            return ReadMember(lexer, request.goal, state[field]);
+          case kSeed:
+            return ReadMember(lexer, request.seed, state[field]);
+          case kMaxSteps:
+            return ReadMember(lexer, request.max_steps, state[field]);
+          case kClass:
+            return ReadMember(lexer, request.class_id, state[field]);
+          case kAnswer:
+            return ReadMember(lexer, request.answer, state[field]);
+          default:
+            return util::ReadJsonValue(lexer, 1, nullptr);
+        }
+      }));
+  RETURN_IF_ERROR(lexer.ExpectEnd());
+  if (state[kVerb] == Member::kWrongType) return WrongTypeError(kVerb);
   if (request.verb.empty()) {
     return util::InvalidArgumentError("request is missing the 'verb' member");
   }
-  RETURN_IF_ERROR(ReadString(document, "session", request.session));
-  RETURN_IF_ERROR(ReadString(document, "instance", request.instance));
-  RETURN_IF_ERROR(ReadString(document, "strategy", request.strategy));
-  RETURN_IF_ERROR(ReadString(document, "goal", request.goal));
-  bool present = false;
-  RETURN_IF_ERROR(ReadUint(document, "seed", request.seed, present));
-  RETURN_IF_ERROR(ReadUint(document, "max_steps", request.max_steps, present));
-  RETURN_IF_ERROR(
-      ReadUint(document, "class", request.class_id, request.has_class_id));
-  const util::JsonValue* answer = document.Find("answer");
-  if (answer != nullptr) {
-    if (!answer->is_bool()) {
-      return util::InvalidArgumentError(
-          "request member 'answer' must be a boolean");
-    }
-    request.answer = answer->AsBool();
-    request.has_answer = true;
+  for (int field = kSession; field < kNumFields; ++field) {
+    if (state[field] == Member::kWrongType) return WrongTypeError(field);
   }
+  request.has_class_id = state[kClass] == Member::kOk;
+  request.has_answer = state[kAnswer] == Member::kOk;
   return request;
 }
 
@@ -76,7 +148,7 @@ std::string RequestToLine(const Request& request) {
   if (!request.session.empty()) json.KeyValue("session", request.session);
   if (!request.instance.empty()) json.KeyValue("instance", request.instance);
   if (request.verb == "create") {
-    json.KeyValue("strategy", request.strategy);
+    json.KeyValue("strategy", request.strategy_name());
     if (!request.goal.empty()) json.KeyValue("goal", request.goal);
     json.KeyValue("seed", request.seed);
     if (request.max_steps != 0) json.KeyValue("max_steps", request.max_steps);

@@ -2,12 +2,16 @@
 #define JIM_SERVE_PROTOCOL_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "util/status.h"
 
 namespace jim::serve {
+
+/// The strategy a `create` without a `strategy` member runs.
+inline constexpr std::string_view kDefaultStrategy = "lookahead-entropy";
 
 /// One request of the newline-delimited-JSON serving protocol. Every
 /// request is a single-line JSON object with a `verb` member; the other
@@ -27,7 +31,10 @@ struct Request {
   std::string verb;
   std::string session;
   std::string instance;  ///< empty = the daemon's default instance
-  std::string strategy = "lookahead-entropy";
+  /// As sent; absent means kDefaultStrategy. The default is not stored: it
+  /// is longer than a small-string buffer, so storing it would cost every
+  /// request of every verb a heap allocation that only `create` reads.
+  std::optional<std::string> strategy;
   std::string goal;      ///< optional reference goal (enables goal checks)
   uint64_t seed = 1;
   uint64_t max_steps = 0;  ///< 0 = the daemon's default per-session cap
@@ -35,10 +42,25 @@ struct Request {
   bool has_class_id = false;
   bool answer = false;
   bool has_answer = false;
+
+  /// The strategy `create` runs: `strategy`, or kDefaultStrategy.
+  std::string_view strategy_name() const {
+    return strategy.has_value() ? std::string_view(*strategy)
+                                : kDefaultStrategy;
+  }
 };
 
 /// Parses one request line. kInvalidArgument on malformed JSON, a missing /
 /// non-string `verb`, or a wrongly-typed member.
+///
+/// One pass over the line with util::JsonLexer, decoding the top-level
+/// object straight into the Request (no JsonValue tree). Every byte is
+/// still validated: unknown members are read and checked as JSON, nested
+/// values included. When a key repeats, the last occurrence wins and its
+/// type is the one checked. A malformed line reports the JSON error even
+/// when an earlier member had the wrong type; type errors are reported in
+/// the member order verb, session, instance, strategy, goal, seed,
+/// max_steps, class, answer.
 util::StatusOr<Request> ParseRequest(std::string_view line);
 
 /// Serializes `request` back to a protocol line (used by the client driver;

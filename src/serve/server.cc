@@ -135,7 +135,7 @@ std::string Server::HandleLine(const std::string& line,
       json.KeyValue("rejected", static_cast<int64_t>(stats.rejected));
     });
   } else if (verb == "create") {
-    auto created = manager_->Create(request.instance, request.strategy,
+    auto created = manager_->Create(request.instance, request.strategy_name(),
                                     request.goal, request.seed,
                                     request.max_steps);
     if (!created.ok()) {

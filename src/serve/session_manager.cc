@@ -1,8 +1,10 @@
 #include "serve/session_manager.h"
 
 #include <algorithm>
+#include <charconv>
 #include <utility>
 
+#include "core/join_predicate.h"
 #include "exec/parallel.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -23,6 +25,15 @@ uint64_t SessionIdNumber(const std::string& session_id) {
   auto parsed = util::ParseInt64(session_id.substr(1));
   if (!parsed.ok() || *parsed < 0) return 0;
   return static_cast<uint64_t>(*parsed);
+}
+
+/// "s<number>", formatted without printf.
+std::string SessionIdOf(uint64_t number) {
+  char buffer[24] = {'s'};
+  const auto [end, ec] = std::to_chars(buffer + 1, buffer + sizeof buffer,
+                                       number);
+  (void)ec;  // 20 digits always fit
+  return std::string(buffer, end);
 }
 
 /// What Label and Create return for a session Close removed while they
@@ -90,7 +101,7 @@ void SessionManager::UpdateLiveGauge() const {
 }
 
 util::StatusOr<SessionManager::CreateResult> SessionManager::Create(
-    const std::string& instance, const std::string& strategy,
+    const std::string& instance, std::string_view strategy,
     const std::string& goal, uint64_t seed, uint64_t max_steps) {
   JIM_SPAN(obs::kHistServeCreateMicros);
   const std::string& instance_name =
@@ -104,10 +115,10 @@ util::StatusOr<SessionManager::CreateResult> SessionManager::Create(
   const bool shares_picks = strategy_impl->stateless();
 
   // Under the manager lock only what needs it: the instance lookup (and its
-  // shared first-pick table). The session clone and the goal parse run
-  // outside, so concurrent lookups never wait on them. The cap is checked
-  // here too, so a create past the limit is refused before any work, and
-  // again with the id mint and insert, which stay one critical section.
+  // shared first-pick table). The session clone, the goal parse and the id
+  // formatting run outside, so concurrent lookups never wait on them. The
+  // cap is checked here too, so a create past the limit is refused before
+  // any work, and again with the insert.
   std::shared_ptr<const core::InferenceEngine> prototype;
   std::shared_ptr<FirstPicks> first_picks;
   {
@@ -116,9 +127,14 @@ util::StatusOr<SessionManager::CreateResult> SessionManager::Create(
     ASSIGN_OR_RETURN(Instance * inst, GetOrOpenInstance(instance_name));
     prototype = inst->prototype;
     if (shares_picks) {
-      std::shared_ptr<FirstPicks>& slot = inst->first_picks[strategy];
-      if (slot == nullptr) slot = std::make_shared<FirstPicks>();
-      first_picks = slot;
+      auto slot = inst->first_picks.find(strategy);
+      if (slot == inst->first_picks.end()) {
+        slot = inst->first_picks
+                   .emplace(std::string(strategy),
+                            std::make_shared<FirstPicks>())
+                   .first;
+      }
+      first_picks = slot->second;
     }
   }
   const size_t informative = prototype->InformativeClasses().size();
@@ -130,34 +146,36 @@ util::StatusOr<SessionManager::CreateResult> SessionManager::Create(
         core::OptimalStrategy::kMaxInformativeClasses, instance_name.c_str(),
         informative));
   }
+  // The goal is parsed before the clone, so a bad goal costs no clone.
+  std::optional<lat::Partition> goal_partition;
+  if (!goal.empty()) {
+    ASSIGN_OR_RETURN(goal_partition, core::JoinPredicate::ParsePartition(
+                                         prototype->store().schema(), goal));
+  }
   auto session =
       std::make_shared<Session>(*prototype, std::move(strategy_impl));
   if (shares_picks) {
     session->first_picks = std::move(first_picks);
     session->first_pick_slot = 0;
   }
-  if (!goal.empty()) {
-    ASSIGN_OR_RETURN(
-        core::JoinPredicate parsed_goal,
-        core::JoinPredicate::Parse(session->engine.store().schema(), goal));
-    session->goal = std::move(parsed_goal);
-  }
+  session->goal = std::move(goal_partition);
   session->checkpoint.instance = instance_name;
   session->checkpoint.strategy = strategy;
   session->checkpoint.goal = goal;
   session->checkpoint.seed = seed;
   session->checkpoint.max_steps =
       max_steps != 0 ? max_steps : options_.default_max_steps;
+  // Every create that got this far takes the next number; on one thread
+  // that is the same sequence as minting under mutex_ after the cap check.
+  const std::string session_id =
+      SessionIdOf(next_session_.fetch_add(1, std::memory_order_relaxed));
+  session->checkpoint.session_id = session_id;
 
-  std::string session_id;
   CreateResult result;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     RETURN_IF_ERROR(CheckSessionCap());
-    session_id = util::StrFormat(
-        "s%llu", static_cast<unsigned long long>(next_session_++));
-    session->checkpoint.session_id = session_id;
-    sessions_[session_id] = session;
+    sessions_.emplace(session_id, session);
     UpdateLiveGauge();
   }
 
@@ -338,8 +356,8 @@ util::StatusOr<SessionManager::ResultReply> SessionManager::Result(
   if (session->goal.has_value()) {
     reply.has_goal = true;
     reply.identified_goal =
-        reply.done &&
-        session->engine.InstanceEquivalent(predicate, *session->goal);
+        reply.done && session->engine.InstanceEquivalent(predicate.partition(),
+                                                         *session->goal);
   }
   return reply;
 }
@@ -398,10 +416,9 @@ SessionManager::ReplayCheckpoint(const SessionCheckpoint& checkpoint,
   auto session =
       std::make_shared<Session>(*instance.prototype, std::move(strategy));
   if (!checkpoint.goal.empty()) {
-    ASSIGN_OR_RETURN(core::JoinPredicate goal,
-                     core::JoinPredicate::Parse(
+    ASSIGN_OR_RETURN(session->goal,
+                     core::JoinPredicate::ParsePartition(
                          session->engine.store().schema(), checkpoint.goal));
-    session->goal = std::move(goal);
   }
   session->checkpoint = checkpoint;
   for (size_t i = 0; i < checkpoint.steps.size(); ++i) {
@@ -508,8 +525,10 @@ util::Status SessionManager::RecoverSessions() {
       return util::InternalError(util::StrFormat(
           "duplicate checkpointed session id '%s'", session_id.c_str()));
     }
-    sessions_[session_id] = std::move(replayed[i]);
-    next_session_ = std::max(next_session_, SessionIdNumber(session_id) + 1);
+    sessions_.emplace(session_id, std::move(replayed[i]));
+    next_session_.store(std::max(next_session_.load(std::memory_order_relaxed),
+                                 SessionIdNumber(session_id) + 1),
+                        std::memory_order_relaxed);
   }
   recovered_.fetch_add(checkpoints.size(), std::memory_order_relaxed);
   JIM_COUNT_N(obs::kCounterServeSessionsRecovered, checkpoints.size());

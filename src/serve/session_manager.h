@@ -3,16 +3,19 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/engine.h"
-#include "core/join_predicate.h"
 #include "core/strategies.h"
+#include "lattice/partition.h"
 #include "serve/checkpoint.h"
 #include "storage/env.h"
 #include "util/status.h"
@@ -86,8 +89,11 @@ class SessionManager {
     size_t num_classes = 0;
     bool done = false;  ///< a one-class instance can be born done
   };
+  /// Starts a session: `strategy` on `instance` ("" = the default
+  /// instance), with an optional `goal` predicate text. Ids are "s<N>" with
+  /// N counting up from 1 (past every recovered "s<N>" id).
   util::StatusOr<CreateResult> Create(const std::string& instance,
-                                      const std::string& strategy,
+                                      std::string_view strategy,
                                       const std::string& goal, uint64_t seed,
                                       uint64_t max_steps);
 
@@ -174,14 +180,17 @@ class SessionManager {
     /// must join it. Sessions hold their own reference, so re-registering
     /// the instance gives new sessions a fresh table and leaves live ones
     /// with theirs.
-    std::map<std::string, std::shared_ptr<FirstPicks>> first_picks;
+    std::map<std::string, std::shared_ptr<FirstPicks>, std::less<>>
+        first_picks;
   };
 
   struct Session {
     std::mutex mutex;
     core::InferenceEngine engine;
     std::unique_ptr<core::Strategy> strategy;
-    std::optional<core::JoinPredicate> goal;
+    /// The goal's partition (the schema is the instance's): `result`
+    /// checks θ_P against it.
+    std::optional<lat::Partition> goal;
     /// Mirrors the durable state: config + accepted transcript.
     SessionCheckpoint checkpoint;
     /// The cached current-step pick (engine state already reflects every
@@ -231,8 +240,12 @@ class SessionManager {
 
   mutable std::mutex mutex_;
   std::map<std::string, Instance> instances_;
-  std::map<std::string, std::shared_ptr<Session>> sessions_;
-  uint64_t next_session_ = 1;
+  /// Looked up by id, never iterated: a hash map keeps the insert and find
+  /// under mutex_ short.
+  std::unordered_map<std::string, std::shared_ptr<Session>> sessions_;
+  /// The next minted id's number. Atomic so Create mints (and formats) its
+  /// id before taking mutex_.
+  std::atomic<uint64_t> next_session_{1};
   /// Atomics, not mutex_-guarded: Label's step-cap rejection bumps
   /// rejected_ while holding only its session's mutex, and the
   /// manager→session lock order must stay one-way.

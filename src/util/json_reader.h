@@ -7,15 +7,17 @@
 #include <string_view>
 #include <vector>
 
+#include "util/json_lexer.h"
 #include "util/status.h"
 
 namespace jim::util {
 
 /// A parsed JSON document. The serving protocol (src/serve/) is
 /// newline-delimited JSON, so the repo needs a reader to pair with
-/// util::JsonWriter; this one is deliberately small: recursive descent,
-/// typed kInvalidArgument errors naming the offset, objects backed by a
-/// std::map so iteration (and re-serialization) is deterministic.
+/// util::JsonWriter; this one is deliberately small: recursive descent over
+/// util::JsonLexer, typed kInvalidArgument errors naming the offset,
+/// objects backed by a std::map so iteration (and re-serialization) is
+/// deterministic.
 ///
 /// Numbers keep both views: an integral token that fits int64 reports
 /// is_int() and AsInt64(); every number reports AsDouble().
@@ -79,6 +81,12 @@ class JsonValue {
 /// whitespace) must be consumed. Errors are kInvalidArgument naming the
 /// byte offset. Nesting deeper than 64 levels is rejected.
 StatusOr<JsonValue> ParseJson(std::string_view text);
+
+/// Reads the value at the lexer's position, nested `depth` containers deep
+/// (0 for a whole document), into *out. With out == nullptr the value is
+/// read and validated but nothing is built: serve::ParseRequest skips the
+/// members it does not know so.
+Status ReadJsonValue(JsonLexer& lexer, size_t depth, JsonValue* out);
 
 }  // namespace jim::util
 

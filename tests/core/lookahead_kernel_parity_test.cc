@@ -464,9 +464,11 @@ TEST(LookaheadKernelParityTest, ClassLevelEquivalenceMatchesTupleScan) {
         for (const JoinPredicate& p2 : {JoinPredicate(schema, closure),
                                         random}) {
           const bool expected = InstanceEquivalent(engine.store(), p1, p2);
-          EXPECT_EQ(engine.InstanceEquivalent(p1, p2), expected)
+          EXPECT_EQ(engine.InstanceEquivalent(p1.partition(), p2.partition()),
+                    expected)
               << p1.ToString() << " vs " << p2.ToString();
-          EXPECT_EQ(engine.InstanceEquivalent(p2, p1), expected);
+          EXPECT_EQ(engine.InstanceEquivalent(p2.partition(), p1.partition()),
+                    expected);
           ++(expected ? equivalent : non_equivalent);
         }
       }

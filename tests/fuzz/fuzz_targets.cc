@@ -4,8 +4,10 @@
 #include <vector>
 
 #include "core/join_predicate.h"
+#include "core/naive_join_predicate_parse.h"
 #include "relational/dictionary.h"
 #include "relational/schema.h"
+#include "serve/naive_protocol.h"
 #include "serve/protocol.h"
 #include "storage/mapped_store.h"
 #include "util/check.h"
@@ -132,6 +134,16 @@ int FuzzJimcImage(const uint8_t* data, size_t size,
 int FuzzGoalParse(const uint8_t* data, size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
   auto parsed = core::JoinPredicate::Parse(GoalSchema(), text);
+  // The one-pass parser must match the multi-pass reference exactly.
+  auto naive = core::NaiveParseGoal(GoalSchema(), text);
+  JIM_CHECK(parsed.ok() == naive.ok() &&
+            (parsed.ok() ? parsed->partition() == *naive
+                         : parsed.status() == naive.status()))
+      << "Parse and the reference goal parser disagree: "
+      << (parsed.ok() ? parsed->partition().ToString()
+                      : parsed.status().ToString())
+      << " vs "
+      << (naive.ok() ? naive->ToString() : naive.status().ToString());
   if (!parsed.ok()) {
     // Every rejection — malformed syntax and unknown attribute names alike —
     // is kInvalidArgument: the input text is bad, nothing is "missing"
@@ -175,11 +187,31 @@ int FuzzRequestParse(const uint8_t* data, size_t size) {
     CheckRequestRejection(document.status(), "ParseJson");
   }
   auto parsed = serve::ParseRequest(line);
+  // The one-pass decoder must decide every line exactly as the tree-based
+  // reference does: same verdict, same error, same decoded members.
+  auto naive = serve::NaiveParseRequest(line);
+  JIM_CHECK(parsed.ok() == naive.ok())
+      << "ParseRequest and the reference decoder disagree: "
+      << (parsed.ok() ? naive.status() : parsed.status()).ToString();
   if (!parsed.ok()) {
+    JIM_CHECK(parsed.status() == naive.status())
+        << "ParseRequest error " << parsed.status().ToString()
+        << " vs reference " << naive.status().ToString();
     CheckRequestRejection(parsed.status(), "ParseRequest");
     return 0;
   }
-  // ParseRequest reads through ParseJson, so it accepts nothing more.
+  JIM_CHECK(parsed->verb == naive->verb && parsed->session == naive->session &&
+            parsed->instance == naive->instance &&
+            parsed->strategy == naive->strategy &&
+            parsed->goal == naive->goal && parsed->seed == naive->seed &&
+            parsed->max_steps == naive->max_steps &&
+            parsed->has_class_id == naive->has_class_id &&
+            parsed->class_id == naive->class_id &&
+            parsed->has_answer == naive->has_answer &&
+            parsed->answer == naive->answer)
+      << "ParseRequest and the reference decoder decoded different members";
+  // ParseRequest and ParseJson share one lexer and one grammar, so a line
+  // ParseRequest accepts is a JSON document ParseJson accepts too.
   JIM_CHECK(document.ok()) << "ParseRequest accepted what ParseJson rejects";
   const serve::Request& request = *parsed;
   JIM_CHECK(!request.verb.empty()) << "accepted request without a verb";
@@ -197,7 +229,7 @@ int FuzzRequestParse(const uint8_t* data, size_t size) {
             reparsed->answer == request.answer)
       << "request round trip changed a member: " << rendered;
   if (request.verb == "create") {
-    JIM_CHECK(reparsed->strategy == request.strategy &&
+    JIM_CHECK(reparsed->strategy_name() == request.strategy_name() &&
               reparsed->goal == request.goal &&
               reparsed->seed == request.seed &&
               reparsed->max_steps == request.max_steps)

@@ -32,7 +32,9 @@ TEST(ProtocolTest, ParsesFullCreateRequest) {
 TEST(ProtocolTest, DefaultsApplyWhenMembersAbsent) {
   auto parsed = ParseRequest(R"({"verb":"create"})");
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->strategy, "lookahead-entropy");
+  // An absent strategy stays absent; create runs the default.
+  EXPECT_FALSE(parsed->strategy.has_value());
+  EXPECT_EQ(parsed->strategy_name(), "lookahead-entropy");
   EXPECT_EQ(parsed->seed, 1u);
   EXPECT_EQ(parsed->max_steps, 0u);
   EXPECT_TRUE(parsed->instance.empty());

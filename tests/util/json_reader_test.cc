@@ -4,6 +4,7 @@
 
 #include "util/json_reader.h"
 
+#include <cstdint>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -80,6 +81,39 @@ TEST(JsonReaderTest, RejectsMalformedInput) {
       EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
     }
   }
+}
+
+// The lexer's edges that ParseJson and serve::ParseRequest share (their
+// parity tests cannot see a lexer fault, since both would make it).
+TEST(JsonReaderTest, LexerEdges) {
+  // Integral tokens are ints exactly while they fit int64.
+  EXPECT_EQ(ParseJson("9223372036854775807")->AsInt64(), INT64_MAX);
+  EXPECT_EQ(ParseJson("-9223372036854775808")->AsInt64(), INT64_MIN);
+  EXPECT_EQ(ParseJson("-0")->AsInt64(), 0);
+  const JsonValue past = ParseJson("9223372036854775808").value();
+  EXPECT_FALSE(past.is_int());
+  EXPECT_DOUBLE_EQ(past.AsDouble(), 9223372036854775808.0);
+  EXPECT_FALSE(ParseJson("-9223372036854775809")->is_int());
+  EXPECT_FALSE(ParseJson("1.0")->is_int());
+  // A high surrogate must pair with a low one, U+DC00..U+DFFF.
+  EXPECT_EQ(ParseJson(R"("\udbff\udfff")")->AsString(), "\xF4\x8F\xBF\xBF");
+  for (const char* bad : {R"("\ud834")", R"("\ud834\udbff")",
+                          R"("\ud834\ue000")", R"("\udd1e")",
+                          R"("\ud834x")"}) {
+    EXPECT_FALSE(ParseJson(bad).ok()) << "accepted: " << bad;
+  }
+  // Errors name what went wrong and the byte offset; both reach clients
+  // verbatim in error lines.
+  EXPECT_EQ(ParseJson("[1,]").status().message(),
+            "json: invalid number at offset 3");
+  EXPECT_EQ(ParseJson("1e999").status().message(),
+            "json: number out of range at offset 5");
+  EXPECT_EQ(ParseJson(R"({"a":1} x)").status().message(),
+            "json: trailing characters after JSON value at offset 8");
+  EXPECT_EQ(ParseJson(R"("\ud834")").status().message(),
+            "json: unpaired surrogate at offset 7");
+  EXPECT_EQ(ParseJson(R"("\ud834\ue000")").status().message(),
+            "json: invalid low surrogate at offset 13");
 }
 
 TEST(JsonReaderTest, RejectsPathologicalNesting) {
